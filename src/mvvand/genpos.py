@@ -11,7 +11,7 @@ from math import comb
 
 from .errors import BadRingError, NotEnoughPointsError, ZeroPointError
 from .matrix import ExactMatrix, seeded_rng
-from .rings import IntegerRing, PrimeField, PrimeField as _PF, DEFAULT_PRIME
+from .rings import IntegerRing, PrimeField, DEFAULT_PRIME
 from .vandermonde import eta_matrix
 
 METHOD_MINORS = "minors"
@@ -119,7 +119,7 @@ def bench_genpos(n: int, d: int, trials: int, seed: int = 0, ring=None) -> dict:
     if n < 1 or d < 1 or trials < 0:
         raise NotEnoughPointsError("benchmark needs n >= 1, d >= 1, trials >= 0")
     if ring is None:
-        ring = _PF(DEFAULT_PRIME)
+        ring = PrimeField(DEFAULT_PRIME)
     m = n + d
     minors_seconds = 0.0
     eta_seconds = 0.0

@@ -203,11 +203,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def scale(self, c: int) -> "Polynomial":
-        if not c:
-            return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {k: c * v for k, v in self.terms.items()})
-
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact quotient self / divisor; raises if a remainder is left.
 
@@ -247,15 +242,19 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # primality (for prime-field moduli)
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: the least strong pseudoprime to all the bases above
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the fixed witness set {2,...,37}.
+    """Miller-Rabin with the fixed witness set {2,...,41}.
 
-    Deterministic for all n < 3.3e24, which covers every modulus this
-    package is meant to handle.
+    Deterministic for all n < psi_13 ~ 3.317e24; larger n raise
+    :class:`BadRingError`, since a composite could pass.
     """
+    if n >= _MR_LIMIT:
+        raise BadRingError(f"{n} is past the deterministic primality bound {_MR_LIMIT}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -290,7 +289,6 @@ class Ring:
     """Base descriptor.  Subclasses implement arithmetic on raw values."""
 
     name = "?"
-    has_exact_div = False
 
     def element(self, v) -> "RingElement":
         return RingElement(self, self.coerce(v))
@@ -311,7 +309,6 @@ class IntegerRing(Ring):
     """Arbitrary-precision integers."""
 
     name = "int"
-    has_exact_div = True
     zero = 0
     one = 1
 
@@ -383,7 +380,6 @@ class PrimeField(Ring):
     """Z/p for a prime p; raw values are ints in [0, p)."""
 
     name = "mod_p"
-    has_exact_div = True
 
     def __init__(self, p: int = DEFAULT_PRIME):
         if p < 2 or not is_prime(p):
@@ -456,7 +452,6 @@ class PolynomialRing(Ring):
     """Z[variables]; raw values are :class:`Polynomial`."""
 
     name = "poly"
-    has_exact_div = True
 
     def __init__(self, variables: Sequence[str]):
         names = tuple(variables)
@@ -464,7 +459,7 @@ class PolynomialRing(Ring):
             raise BadRingError("polynomial ring needs at least one variable")
         seen = set()
         for v in names:
-            if not _NAME_RE.match(v):
+            if not (isinstance(v, str) and _NAME_RE.match(v)):
                 raise BadRingError(f"bad variable name: {v!r}")
             if v in seen:
                 raise BadRingError(f"duplicate variable name: {v!r}")
@@ -657,7 +652,7 @@ def ring_from_doc(doc: dict) -> Ring:
         return PrimeField(p)
     if kind == "poly":
         variables = doc.get("variables")
-        if not variables:
+        if not variables or not isinstance(variables, list):
             raise ParseError("poly ring requires a variable list")
         return PolynomialRing(variables)
     raise ParseError(f"unknown ring kind: {kind!r}")

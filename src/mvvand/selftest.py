@@ -204,20 +204,21 @@ def naive_failure(quick: bool = False) -> CriterionResult:
 
 
 def det_oracles(quick: bool = False) -> CriterionResult:
-    """cofactor = berkowitz = bareiss over Z and over Z[x,y,z] with
-    degree-1 entries, all orders up to 6."""
+    """det() = cofactor = berkowitz = bareiss over Z, over Z[x,y,z] with
+    degree-1 entries and over Z/p, all orders up to 6."""
     t0 = time.perf_counter()
     trials = 10 if quick else 200
     pr = PolynomialRing(["x", "y", "z"])
+    fp = PrimeField(DEFAULT_PRIME)
     ok = True
-    for ring, tag in ((ZZ, "int"), (pr, "poly")):
+    for ring, tag in ((ZZ, "int"), (pr, "poly"), (fp, "modp")):
         for order in range(1, 7):
             for t in range(trials):
                 M = random_matrix(ring, order, order, seeded_rng("det", tag, order, t))
                 a = M.det("cofactor")
-                ok &= a == M.det("berkowitz") == M.det("bareiss")
+                ok &= M.det() == a == M.det("berkowitz") == M.det("bareiss")
     return _result(
-        "det-oracles", ok, f"orders 1..6 x {trials} trials x 2 rings", t0
+        "det-oracles", ok, f"orders 1..6 x {trials} trials x 3 rings", t0
     )
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .errors import ShapeError
+from .errors import BadIndexError, ShapeError
 from .matrix import ExactMatrix, random_matrix, seeded_rng
-from .rings import Polynomial, PolynomialRing, Ring, RingElement, ZZ
+from .rings import Polynomial, PolynomialRing, RingElement, ZZ
 from .subsets import LEX_ON_OMITTED, LEX_ON_TAKEN, SubsetIndex
 
 SYMBOLIC_CAP = 10  # default bound on C(n+d, n) for symbolic verification
@@ -37,9 +37,6 @@ class MonomialBasis:
 
     def __len__(self):
         return len(self.exponents)
-
-    def index(self, exps) -> int:
-        return self.exponents.index(tuple(exps))
 
 
 def _compositions_desc(nparts: int, total: int):
@@ -271,16 +268,10 @@ def _shape_nd(X: ExactMatrix) -> tuple:
     return n, d
 
 
-def _det_algorithm_for(ring: Ring) -> str:
-    # symbolic entries favor expansion by minors over fraction-free pivots
-    return "cofactor" if isinstance(ring, PolynomialRing) else "auto"
-
-
 def verify_hdv(X: ExactMatrix, algorithm: str | None = None) -> VerificationReport:
     """Check det(nu^d mu X) = (mu' X)^n on an (n+d) x (n+1) matrix."""
     n, d = _shape_nd(X)
-    algorithm = algorithm or _det_algorithm_for(X.ring)
-    lhs = veronese_matrix(mu_matrix(X), d).det(algorithm)
+    lhs = veronese_matrix(mu_matrix(X), d).det(algorithm or "auto")
     rhs = mu_prime(X) ** n
     return VerificationReport(
         identity="hdv",
@@ -296,8 +287,7 @@ def verify_hdv(X: ExactMatrix, algorithm: str | None = None) -> VerificationRepo
 def verify_dual(X: ExactMatrix, algorithm: str | None = None) -> VerificationReport:
     """Check det(eta^d X) = +/- mu' X; the sign is reported when visible."""
     n, d = _shape_nd(X)
-    algorithm = algorithm or _det_algorithm_for(X.ring)
-    lhs = eta_matrix(X, d).det(algorithm)
+    lhs = eta_matrix(X, d).det(algorithm or "auto")
     rhs = mu_prime(X)
     if lhs == rhs:
         sign = None if lhs.is_zero() else 1
@@ -342,6 +332,8 @@ def verify_column_lemma(
     column dst changes neither side, and scaling column src by alpha scales
     both sides by alpha^(n*C(n+d, n+1))."""
     n, d = _shape_nd(X)
+    if src == dst:
+        raise BadIndexError(f"column lemma needs two distinct columns, got {src} twice")
     ring = X.ring
     a = RingElement(ring, ring.coerce(alpha))
     base = verify_hdv(X, algorithm)
@@ -372,7 +364,7 @@ def verify_sym_power(u: ExactMatrix, d: int, algorithm: str | None = None) -> Ve
     if not u.is_square:
         raise ShapeError("symmetric power needs a square matrix")
     m = u.nrows
-    algorithm = algorithm or _det_algorithm_for(u.ring)
+    algorithm = algorithm or "auto"
     lhs = sym_power_matrix(u, d).det(algorithm)
     rhs = u.det(algorithm) ** comb(m + d - 1, m)
     return VerificationReport(
@@ -398,8 +390,7 @@ def verify_pairing(X: ExactMatrix, algorithm: str | None = None) -> Verification
         for j in range(P.ncols)
         if i != j
     )
-    algorithm = algorithm or _det_algorithm_for(ring)
-    lhs = P.det(algorithm)
+    lhs = P.det(algorithm or "auto")
     rhs = mu_prime(X) ** (n + 1)
     if not diagonal:
         verdict, sign = "unequal", None

@@ -153,7 +153,40 @@ class TestGenposAndBench:
         assert doc["agreement_percent"] == 100.0
 
 
+def run_main(args):
+    import subprocess, sys
+
+    return subprocess.run(
+        [sys.executable, "-m", "mvvand.cli", *args], capture_output=True, text=True
+    )
+
+
 class TestErrors:
+    @pytest.mark.parametrize(
+        "text,code",
+        [
+            ('{"ring": "int", "rows": [[1, 2', "parse-error"),  # malformed JSON
+            ('[["1", "0"], ["0", "1"]]', "parse-error"),  # top-level list
+            ('{"ring": "int", "rows": [1, 2]}', "shape-error"),  # rows not lists
+            ('{"ring": "poly", "variables": 5, "rows": [["1"]]}', "parse-error"),
+            ('{"ring": "poly", "variables": [1], "rows": [["1"]]}', "bad-ring"),
+        ],
+    )
+    def test_malformed_file(self, tmp_path, text, code):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        proc = run_main(["mu", "--input", str(path)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error:{code}:")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_lemma_same_column_is_usage_error(self):
+        proc = run_main(
+            ["verify", "lemma", "--n", "2", "--d", "2", "--src-col", "1", "--dst-col", "1"]
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:bad-index:")
+
     def test_error_line_is_single_and_coded(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"ring": "int", "rows": [["1", "x"]]}))

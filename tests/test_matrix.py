@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvvand.errors import BadIndexError, ShapeError
 from mvvand.matrix import ExactMatrix, dumps_doc, random_matrix, seeded_rng
@@ -68,6 +69,47 @@ class TestDeterminant:
     def test_zero_pivot_column_short_circuit(self):
         A = M([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
         assert A.det("bareiss") == 0
+
+
+F7 = PrimeField(7)
+FP = PrimeField(1_000_003)
+
+
+@st.composite
+def square_mod_p(draw):
+    ring = draw(st.sampled_from([F7, FP]))
+    n = draw(st.integers(0, 8))
+    # small values besides uniform ones make zero pivots and singular
+    # matrices common in the large field too
+    entry = st.integers(0, 2) | st.integers(0, ring.p - 1)
+    row = st.lists(entry, min_size=n, max_size=n)
+    return ExactMatrix(ring, draw(st.lists(row, min_size=n, max_size=n)))
+
+
+class TestFieldDeterminant:
+    @settings(max_examples=200, deadline=None)
+    @given(square_mod_p())
+    def test_auto_matches_oracles(self, A):
+        expected = A.det("cofactor")
+        assert A.det() == expected
+        assert A.det("berkowitz") == expected
+        assert A.det("bareiss") == expected
+
+    @pytest.mark.parametrize(
+        "rows,expected",
+        [
+            ([[1, 2, 3], [4, 5, 6], [1, 2, 3]], 0),  # duplicated row
+            ([[1, 0, 3], [4, 0, 6], [7, 0, 9]], 0),  # zero column
+            ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),  # zero first column
+            ([[0, 2, 3], [4, 5, 6], [7, 8, 10]], -5),  # zero (0,0): row swap
+            ([[0, 1], [1, 0]], -1),
+        ],
+    )
+    @pytest.mark.parametrize("ring", [F7, FP])
+    def test_explicit_cases(self, ring, rows, expected):
+        A = M(rows, ring)
+        assert A.det() == expected
+        assert A.det("cofactor") == expected
 
 
 class TestMinors:

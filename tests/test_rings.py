@@ -53,6 +53,23 @@ class TestBasics:
         with pytest.raises(BadRingError):
             PrimeField(91)
 
+    def test_strong_pseudoprime_to_bases_up_to_37_rejected(self):
+        psi12 = 318_665_857_834_031_151_167_461  # 399165290221 * 798330580441
+        assert not is_prime(psi12)
+        with pytest.raises(BadRingError):
+            PrimeField(psi12)
+
+    def test_large_primes_accepted(self):
+        for p in (1_000_003, 2**61 - 1):
+            assert PrimeField(p).p == p
+
+    def test_modulus_past_primality_bound_rejected(self):
+        psi13 = 3_317_044_064_679_887_385_961_981
+        with pytest.raises(BadRingError):
+            PrimeField(psi13)
+        with pytest.raises(BadRingError):
+            PrimeField(2**89 - 1)  # prime, but too large to certify
+
     def test_neg_and_pow(self):
         assert -F7.element(3) == F7.element(4)
         assert P("x + 1") ** 2 == P("x^2 + 2*x + 1")
