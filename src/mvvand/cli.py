@@ -58,10 +58,12 @@ def _load(path: str) -> ExactMatrix:
 
 
 def _numeric_ring(ring: str, modulus: int | None):
+    if ring == "mod_p":
+        return PrimeField(DEFAULT_PRIME if modulus is None else modulus)
+    if modulus is not None:
+        raise BadRingError(f"--modulus applies only to --ring mod_p, not {ring}")
     if ring == "int":
         return ZZ
-    if ring == "mod_p":
-        return PrimeField(modulus or DEFAULT_PRIME)
     raise BadRingError(f"ring {ring!r} needs the --symbolic flag")
 
 
@@ -160,6 +162,8 @@ def verify(
         raise BadRingError("--symbolic verification runs over the polynomial ring")
     if ring == "poly" and not symbolic and identity != "naive":
         raise BadRingError("--ring poly requires --symbolic")
+    if modulus is not None and (input_ is not None or symbolic or identity == "naive"):
+        raise BadRingError("--modulus applies only to generated numeric matrices")
 
     if identity == "naive":
         if n is None or d is None:

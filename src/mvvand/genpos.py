@@ -86,9 +86,10 @@ def in_general_position(cfg: PointConfiguration) -> GenPosVerdict:
     failure the lex-least vanishing row subset is returned as witness."""
     _require_enough(cfg)
     M = cfg.matrix
+    minor, is_zero = M.minor_table(), M.ring.is_zero
     cols = tuple(range(cfg.n + 1))
     for taken in combinations(range(cfg.m), cfg.n + 1):
-        if M.minor(taken, cols).is_zero():
+        if is_zero(minor(taken, cols)):
             return GenPosVerdict(False, taken, METHOD_MINORS, cfg.n, cfg.m, M.ring.describe())
     return GenPosVerdict(True, None, METHOD_MINORS, cfg.n, cfg.m, M.ring.describe())
 

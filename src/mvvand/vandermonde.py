@@ -95,15 +95,13 @@ def mu_matrix(X: ExactMatrix) -> ExactMatrix:
     m = X.nrows
     if n < 1 or m < n:
         raise ShapeError(f"minor matrix undefined for shape {m}x{n + 1}")
-    all_cols = range(n + 1)
-    rows = []
-    for taken in SubsetIndex(m, n, LEX_ON_OMITTED).subsets():
-        rows.append(
-            [
-                X.minor(taken, [c for c in all_cols if c != j]).value
-                for j in all_cols
-            ]
-        )
+    minor = X.minor_table()
+    all_cols = tuple(range(n + 1))
+    omit = [all_cols[:j] + all_cols[j + 1:] for j in all_cols]
+    rows = [
+        [minor(taken, cols) for cols in omit]
+        for taken in SubsetIndex(m, n, LEX_ON_OMITTED).subsets()
+    ]
     return ExactMatrix(X.ring, rows)
 
 
@@ -114,10 +112,11 @@ def mu_prime(X: ExactMatrix) -> RingElement:
     if n < 1 or m < n:
         raise ShapeError(f"minor product undefined for shape {m}x{n + 1}")
     ring = X.ring
+    minor = X.minor_table()
     acc = ring.one
     cols = tuple(range(n + 1))
     for taken in combinations(range(m), n + 1):
-        acc = ring.mul(acc, X.minor(taken, cols).value)
+        acc = ring.mul(acc, minor(taken, cols))
     return RingElement(ring, acc)
 
 

@@ -187,6 +187,25 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:bad-index:")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "hdv", "--n", "1", "--d", "1", "--ring", "mod_p", "--modulus", "0"],
+            ["verify", "hdv", "--n", "1", "--d", "1", "--ring", "int", "--modulus", "7"],
+            ["verify", "hdv", "--n", "1", "--d", "1", "--symbolic", "--modulus", "7"],
+            ["verify", "hdv", "--input", "{worked}", "--modulus", "7"],
+            ["verify", "naive", "--n", "2", "--d", "1", "--modulus", "7"],
+            ["bench", "--n", "2", "--d", "2", "--ring", "int", "--modulus", "7"],
+        ],
+    )
+    def test_modulus_misuse_is_bad_ring(self, worked_file, args):
+        # --modulus 0 used to run over the default prime, and a modulus the
+        # ring or the input file does not use used to be ignored
+        proc = run_main([a.format(worked=worked_file) for a in args])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:bad-ring:")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_error_line_is_single_and_coded(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"ring": "int", "rows": [["1", "x"]]}))

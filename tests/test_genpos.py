@@ -87,6 +87,25 @@ class TestVerdicts:
             else:
                 assert verdict.in_general_position and verdict.witness is None
 
+    def test_witness_is_lex_least_not_least_last_row(self):
+        # (0,1,9,10) and (2,3,4,5) both vanish; a scan that stopped at the
+        # subset with the smallest last row would answer (2,3,4,5)
+        rng = seeded_rng("two-witnesses")
+        rows = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(11)]
+        rows[10] = [a + 2 * b - c for a, b, c in zip(rows[0], rows[1], rows[9])]
+        rows[5] = [a - b + 3 * c for a, b, c in zip(rows[2], rows[3], rows[4])]
+        cfg = cfg_of(rows)
+        vanishing = [
+            taken
+            for taken in combinations(range(11), 4)
+            if cfg.matrix.submatrix(taken, range(4)).det().is_zero()
+        ]
+        assert (2, 3, 4, 5) in vanishing
+        assert min(vanishing) == (0, 1, 9, 10)
+        verdict = in_general_position(cfg)
+        assert not verdict.in_general_position
+        assert verdict.witness == (0, 1, 9, 10)
+
 
 class TestInvariance:
     def test_row_permutation(self):

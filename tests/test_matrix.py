@@ -1,13 +1,16 @@
+import gc
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvvand.errors import BadIndexError, ShapeError
 from mvvand.matrix import ExactMatrix, dumps_doc, random_matrix, seeded_rng
-from mvvand.rings import PolynomialRing, PrimeField, ZZ
+from mvvand.rings import Polynomial, PolynomialRing, PrimeField, ZZ
 
 XYZ = PolynomialRing(["x", "y", "z"])
+XY = PolynomialRing(["x", "y"])
 
 
 def M(rows, ring=ZZ):
@@ -112,7 +115,53 @@ class TestFieldDeterminant:
         assert A.det("cofactor") == expected
 
 
+@st.composite
+def any_ring_matrix(draw):
+    """Up to 7x5 over Z, Z/7, Z/1000003 or Z[x, y], sometimes with a
+    duplicated row."""
+    ring = draw(st.sampled_from([ZZ, F7, FP, XY]))
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 5))
+    if ring is XY:
+        linear = ((1, 0), (0, 1), (0, 0))
+        coeffs = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+        entry = coeffs.map(lambda cs: Polynomial.from_terms(2, zip(linear, cs)))
+    elif ring is ZZ:
+        entry = st.integers(-3, 3)
+    else:
+        entry = st.integers(0, 2) | st.integers(0, ring.p - 1)
+    row = st.lists(entry, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    if m >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = rows[i]
+    return ExactMatrix(ring, rows)
+
+
 class TestMinors:
+    @settings(max_examples=150, deadline=None)
+    @given(any_ring_matrix())
+    def test_table_matches_berkowitz(self, A):
+        minor = A.minor_table()
+        for k in range(min(A.nrows, A.ncols) + 1):
+            for rows in combinations(range(A.nrows), k):
+                for cols in combinations(range(A.ncols), k):
+                    expected = A.submatrix(rows, cols).det("berkowitz").value
+                    assert minor(rows, cols) == expected
+
+    def test_table_is_freed_without_the_cycle_collector(self):
+        # a memo caught in a reference cycle lingers until a full collection
+        A = random_matrix(FP, 6, 3, seeded_rng("cycle"))
+        gc.collect()
+        gc.disable()
+        try:
+            minor = A.minor_table()
+            for rows in combinations(range(6), 3):
+                minor(rows, (0, 1, 2))
+            del minor
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_full_minor_is_det(self):
         A = random_matrix(ZZ, 4, 4, seeded_rng("full"))
         assert A.minor(range(4), range(4)) == A.det()
@@ -131,6 +180,8 @@ class TestMinors:
             A.minor([0, 1], [0, 3])  # out of range
         with pytest.raises(BadIndexError):
             A.minor([0, 1], [0])  # length mismatch
+        with pytest.raises(BadIndexError):
+            A.minor_table()([0, 1], [0])
 
 
 class TestColumnOps:
