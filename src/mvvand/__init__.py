@@ -36,7 +36,6 @@ from .rings import (
     ZZ,
     poly_eval,
 )
-from .subsets import LEX_ON_OMITTED, LEX_ON_TAKEN, SubsetIndex
 from .vandermonde import (
     MonomialBasis,
     VerificationReport,

@@ -127,14 +127,14 @@ def sym(input_, d, output):
 @click.option("--input", "input_", type=click.Path(exists=True), default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--d", type=int, default=None)
-@click.option("--ring", type=click.Choice(["int", "mod_p", "poly"]), default="int")
+@click.option(
+    "--ring",
+    type=click.Choice(["int", "mod_p", "poly"]),
+    default=None,
+    help="Ring of a generated matrix; int by default.",
+)
 @click.option("--modulus", type=int, default=None)
 @click.option("--seed", type=int, default=0)
-@click.option(
-    "--algorithm",
-    type=click.Choice(["auto", "berkowitz", "bareiss", "cofactor"]),
-    default=None,
-)
 @click.option("--symbolic", is_flag=True, help="Verify as a polynomial identity.")
 @click.option("--symbolic-cap", type=int, default=SYMBOLIC_CAP, show_default=True)
 @click.option("--alpha", type=int, default=2, help="Scalar for the column lemma.")
@@ -149,7 +149,6 @@ def verify(
     ring,
     modulus,
     seed,
-    algorithm,
     symbolic,
     symbolic_cap,
     alpha,
@@ -158,12 +157,16 @@ def verify(
     output,
 ):
     """Verify one identity; exit 0 iff the verdict matches expectation."""
-    if symbolic and ring not in ("int", "poly"):
+    if (ring is not None or symbolic or modulus is not None) and (
+        input_ is not None or identity == "naive"
+    ):
+        raise BadRingError(
+            "--ring, --symbolic and --modulus apply only to generated matrices"
+        )
+    if symbolic and (ring in ("int", "mod_p") or modulus is not None):
         raise BadRingError("--symbolic verification runs over the polynomial ring")
-    if ring == "poly" and not symbolic and identity != "naive":
+    if ring == "poly" and not symbolic:
         raise BadRingError("--ring poly requires --symbolic")
-    if modulus is not None and (input_ is not None or symbolic or identity == "naive"):
-        raise BadRingError("--modulus applies only to generated numeric matrices")
 
     if identity == "naive":
         if n is None or d is None:
@@ -175,21 +178,21 @@ def verify(
             identity, input_, n, d, ring, modulus, seed, symbolic, symbolic_cap
         )
         if identity == "hdv":
-            report = verify_hdv(X, algorithm)
+            report = verify_hdv(X)
             expected = "equal"
         elif identity == "dual":
-            report = verify_dual(X, algorithm)
+            report = verify_dual(X)
             expected = "equal-up-to-sign"
         elif identity == "lemma":
-            report = verify_column_lemma(X, alpha, src_col, dst_col, algorithm)
+            report = verify_column_lemma(X, alpha, src_col, dst_col)
             expected = "equal"
         elif identity == "sym":
             if d is None:
                 raise ShapeError("verify sym needs --d")
-            report = verify_sym_power(X, d, algorithm)
+            report = verify_sym_power(X, d)
             expected = "equal"
         else:  # abstract
-            report = verify_pairing(X, algorithm)
+            report = verify_pairing(X)
             expected = "equal-up-to-sign"
 
     doc = report.to_doc()
@@ -217,7 +220,7 @@ def _matrix_for_verify(identity, input_, n, d, ring, modulus, seed, symbolic, ca
             )
         return symbolic_matrix(*shape)
     rng = seeded_rng("verify", identity, n, d, seed)
-    return random_matrix(_numeric_ring(ring, modulus), *shape, rng)
+    return random_matrix(_numeric_ring(ring or "int", modulus), *shape, rng)
 
 
 @cli.command()

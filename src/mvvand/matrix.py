@@ -6,7 +6,6 @@ table that shares sub-minors between the minors it is asked for.
 from __future__ import annotations
 
 import json
-from itertools import combinations
 from pathlib import Path
 
 from .errors import BadIndexError, ParseError, ShapeError
@@ -16,7 +15,8 @@ DET_ALGORITHMS = ("auto", "cofactor", "berkowitz", "bareiss")
 
 # det("auto") by ring kind, at every order.  Over Z/p, Bareiss pays a modular
 # inverse per update, field elimination one per pivot; over Z, Bareiss beats
-# the cofactor DP from order 1 up (about 2x at orders 1 to 4); over Z[x],
+# cofactor expansion from order 3 up (1.9x at order 4) and trails it by under
+# a microsecond at orders 1 and 2; over Z[x],
 # Bareiss swells intermediate polynomials (6x6 symbolic: cofactor 0.12 s,
 # Bareiss 87 s).  "field" is reachable only through "auto".
 _AUTO_DET = {"mod_p": "field", "int": "bareiss", "poly": "cofactor"}
@@ -267,37 +267,19 @@ def random_matrix(ring: Ring, nrows: int, ncols: int, rng) -> ExactMatrix:
 
 
 def _det_cofactor(ring, rows):
-    """Laplace expansion, organised as dynamic programming over column
-    subsets so it stays usable as an oracle up to desk scale."""
+    """Laplace expansion of an order n >= 1 determinant: the minor table's
+    expansion on every row and column, with a fresh memo."""
     n = len(rows)
-    minors = {(): ring.one}
-    sub, add, mul = ring.sub, ring.add, ring.mul
-    for i in range(n):
-        row = rows[i]
-        new = {}
-        for cols in combinations(range(n), i + 1):
-            acc = None
-            for t, j in enumerate(cols):
-                m = minors[cols[:t] + cols[t + 1:]]
-                term = mul(row[j], m)
-                if acc is None:
-                    acc = term
-                elif t % 2:
-                    acc = sub(acc, term)
-                else:
-                    acc = add(acc, term)
-            # expansion along row i alternates signs with column position
-            new[cols] = acc if i % 2 == 0 else ring.neg(acc)
-        minors = new
-    return minors[tuple(range(n))]
+    full = tuple(range(n))
+    return _laplace_minor(ring, rows, n, {}, full, full, (1 << 2 * n) - 1)
 
 
 def _laplace_minor(ring, rows, shift, memo, R, C, key):
     """Minor on rows R and columns C (order >= 1, packed ``key``) by Laplace
-    expansion along row R[-1], as in ``_det_cofactor``; the sub-minors come
-    from and go to ``memo``.  A module function, not a closure: a recursive
-    closure would tie the memo into a reference cycle that outlives its
-    table until the cyclic collector runs."""
+    expansion along row R[-1]; the sub-minors come from and go to ``memo``.
+    A module function, not a closure: a recursive closure would tie the memo
+    into a reference cycle that outlives its table until the cyclic
+    collector runs."""
     row = rows[R[-1]]
     k = len(R)
     if k == 1:

@@ -18,7 +18,6 @@ from math import comb
 from .errors import BadIndexError, ShapeError
 from .matrix import ExactMatrix, random_matrix, seeded_rng
 from .rings import Polynomial, PolynomialRing, RingElement, ZZ
-from .subsets import LEX_ON_OMITTED, LEX_ON_TAKEN, SubsetIndex
 
 SYMBOLIC_CAP = 10  # default bound on C(n+d, n) for symbolic verification
 
@@ -88,8 +87,8 @@ def mu_matrix(X: ExactMatrix) -> ExactMatrix:
     """Matrix of order-n minors of an m x (n+1) matrix X.
 
     Row r corresponds to the r-th choice of n rows under lex order on the
-    omitted rows; column j holds the minor omitting column j.  Minors are
-    raw (no cofactor signs).
+    omitted rows, which is reverse lex order on the rows taken; column j
+    holds the minor omitting column j.  Minors are raw (no cofactor signs).
     """
     n = X.ncols - 1
     m = X.nrows
@@ -100,7 +99,7 @@ def mu_matrix(X: ExactMatrix) -> ExactMatrix:
     omit = [all_cols[:j] + all_cols[j + 1:] for j in all_cols]
     rows = [
         [minor(taken, cols) for cols in omit]
-        for taken in SubsetIndex(m, n, LEX_ON_OMITTED).subsets()
+        for taken in reversed(list(combinations(range(m), n)))
     ]
     return ExactMatrix(X.ring, rows)
 
@@ -154,7 +153,7 @@ def eta_matrix(X: ExactMatrix, d: int) -> ExactMatrix:
     basis = monomial_basis(n, d)
     raw = X.rows_raw()
     rows = []
-    for taken in SubsetIndex(n + d, d, LEX_ON_TAKEN).subsets():
+    for taken in combinations(range(n + d), d):
         coeffs = _expand_linear_forms(ring, [raw[i] for i in taken], n + 1)
         rows.append([coeffs.get(exps, ring.zero) for exps in basis.exponents])
     return ExactMatrix(ring, rows)
@@ -201,7 +200,7 @@ def pairing_matrix(X: ExactMatrix, d: int | None = None) -> ExactMatrix:
         )
     ring = X.ring
     raw = X.rows_raw()
-    subsets = list(SubsetIndex(n + d, d, LEX_ON_TAKEN).subsets())
+    subsets = list(combinations(range(n + d), d))
     rows = []
     for s in subsets:
         outside = [raw[i] for i in range(n + d) if i not in s]
@@ -267,10 +266,10 @@ def _shape_nd(X: ExactMatrix) -> tuple:
     return n, d
 
 
-def verify_hdv(X: ExactMatrix, algorithm: str | None = None) -> VerificationReport:
+def verify_hdv(X: ExactMatrix) -> VerificationReport:
     """Check det(nu^d mu X) = (mu' X)^n on an (n+d) x (n+1) matrix."""
     n, d = _shape_nd(X)
-    lhs = veronese_matrix(mu_matrix(X), d).det(algorithm or "auto")
+    lhs = veronese_matrix(mu_matrix(X), d).det()
     rhs = mu_prime(X) ** n
     return VerificationReport(
         identity="hdv",
@@ -283,20 +282,22 @@ def verify_hdv(X: ExactMatrix, algorithm: str | None = None) -> VerificationRepo
     )
 
 
-def verify_dual(X: ExactMatrix, algorithm: str | None = None) -> VerificationReport:
+def _up_to_sign(lhs: RingElement, rhs: RingElement) -> tuple:
+    """Verdict and sign of lhs = +/- rhs; the sign is None when both sides
+    vanish, as it is then not visible."""
+    if lhs == rhs:
+        return "equal-up-to-sign", None if lhs.is_zero() else 1
+    if lhs == -rhs:
+        return "equal-up-to-sign", -1
+    return "unequal", None
+
+
+def verify_dual(X: ExactMatrix) -> VerificationReport:
     """Check det(eta^d X) = +/- mu' X; the sign is reported when visible."""
     n, d = _shape_nd(X)
-    lhs = eta_matrix(X, d).det(algorithm or "auto")
+    lhs = eta_matrix(X, d).det()
     rhs = mu_prime(X)
-    if lhs == rhs:
-        sign = None if lhs.is_zero() else 1
-        verdict = "equal-up-to-sign"
-    elif lhs == -rhs:
-        sign = -1
-        verdict = "equal-up-to-sign"
-    else:
-        sign = None
-        verdict = "unequal"
+    verdict, sign = _up_to_sign(lhs, rhs)
     return VerificationReport(
         identity="dual",
         n=n,
@@ -324,9 +325,7 @@ def dual_sign(n: int, d: int, seed: int = 0) -> int:
         trial += 1
 
 
-def verify_column_lemma(
-    X: ExactMatrix, alpha, src: int, dst: int, algorithm: str | None = None
-) -> VerificationReport:
+def verify_column_lemma(X: ExactMatrix, alpha, src: int, dst: int) -> VerificationReport:
     """Check both column-operation facts: adding alpha times column src to
     column dst changes neither side, and scaling column src by alpha scales
     both sides by alpha^(n*C(n+d, n+1))."""
@@ -335,9 +334,9 @@ def verify_column_lemma(
         raise BadIndexError(f"column lemma needs two distinct columns, got {src} twice")
     ring = X.ring
     a = RingElement(ring, ring.coerce(alpha))
-    base = verify_hdv(X, algorithm)
-    added = verify_hdv(X.add_scaled_column(src, dst, a), algorithm)
-    scaled = verify_hdv(X.scale_column(src, a), algorithm)
+    base = verify_hdv(X)
+    added = verify_hdv(X.add_scaled_column(src, dst, a))
+    scaled = verify_hdv(X.scale_column(src, a))
     factor = a ** (n * comb(n + d, n + 1))
     ok = (
         base.verdict == "equal"
@@ -358,14 +357,13 @@ def verify_column_lemma(
     )
 
 
-def verify_sym_power(u: ExactMatrix, d: int, algorithm: str | None = None) -> VerificationReport:
+def verify_sym_power(u: ExactMatrix, d: int) -> VerificationReport:
     """Check det(S^d u) = (det u)^C(m+d-1, m)."""
     if not u.is_square:
         raise ShapeError("symmetric power needs a square matrix")
     m = u.nrows
-    algorithm = algorithm or "auto"
-    lhs = sym_power_matrix(u, d).det(algorithm)
-    rhs = u.det(algorithm) ** comb(m + d - 1, m)
+    lhs = sym_power_matrix(u, d).det()
+    rhs = u.det() ** comb(m + d - 1, m)
     return VerificationReport(
         identity="sym",
         n=m,
@@ -377,7 +375,7 @@ def verify_sym_power(u: ExactMatrix, d: int, algorithm: str | None = None) -> Ve
     )
 
 
-def verify_pairing(X: ExactMatrix, algorithm: str | None = None) -> VerificationReport:
+def verify_pairing(X: ExactMatrix) -> VerificationReport:
     """Check the pairing matrix is diagonal with det = +/- (mu' X)^(n+1)."""
     n, d = _shape_nd(X)
     ring = X.ring
@@ -389,17 +387,9 @@ def verify_pairing(X: ExactMatrix, algorithm: str | None = None) -> Verification
         for j in range(P.ncols)
         if i != j
     )
-    lhs = P.det(algorithm or "auto")
+    lhs = P.det()
     rhs = mu_prime(X) ** (n + 1)
-    if not diagonal:
-        verdict, sign = "unequal", None
-    elif lhs == rhs:
-        verdict = "equal-up-to-sign"
-        sign = None if lhs.is_zero() else 1
-    elif lhs == -rhs:
-        verdict, sign = "equal-up-to-sign", -1
-    else:
-        verdict, sign = "unequal", None
+    verdict, sign = _up_to_sign(lhs, rhs) if diagonal else ("unequal", None)
     return VerificationReport(
         identity="abstract",
         n=n,

@@ -196,15 +196,28 @@ class TestErrors:
             ["verify", "hdv", "--input", "{worked}", "--modulus", "7"],
             ["verify", "naive", "--n", "2", "--d", "1", "--modulus", "7"],
             ["bench", "--n", "2", "--d", "2", "--ring", "int", "--modulus", "7"],
+            ["verify", "hdv", "--input", "{worked}", "--ring", "mod_p"],
+            ["verify", "hdv", "--input", "{worked}", "--ring", "int"],
+            ["verify", "hdv", "--input", "{worked}", "--symbolic"],
+            ["verify", "naive", "--n", "2", "--d", "1", "--ring", "mod_p"],
+            ["verify", "naive", "--n", "2", "--d", "1", "--symbolic"],
+            ["verify", "hdv", "--n", "1", "--d", "1", "--symbolic", "--ring", "int"],
         ],
     )
     def test_modulus_misuse_is_bad_ring(self, worked_file, args):
-        # --modulus 0 used to run over the default prime, and a modulus the
-        # ring or the input file does not use used to be ignored
+        # --modulus 0 used to run over the default prime, and a modulus, ring
+        # or --symbolic that the input file or naive demo does not use used to
+        # be ignored
         proc = run_main([a.format(worked=worked_file) for a in args])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:bad-ring:")
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_algorithm_option_is_usage_error(self):
+        # det() picks its kernel by ring; the verifiers take no algorithm
+        proc = run_main(["verify", "hdv", "--n", "2", "--d", "2", "--algorithm", "bareiss"])
+        assert proc.returncode == 2
+        assert "No such option" in proc.stderr and "--algorithm" in proc.stderr
 
     def test_error_line_is_single_and_coded(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

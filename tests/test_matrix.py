@@ -3,7 +3,7 @@ import json
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvvand.errors import BadIndexError, ShapeError
 from mvvand.matrix import ExactMatrix, dumps_doc, random_matrix, seeded_rng
@@ -140,6 +140,8 @@ def any_ring_matrix(draw):
 class TestMinors:
     @settings(max_examples=150, deadline=None)
     @given(any_ring_matrix())
+    @example(ExactMatrix(ZZ, []))
+    @example(M([[5]], F7))
     def test_table_matches_berkowitz(self, A):
         minor = A.minor_table()
         for k in range(min(A.nrows, A.ncols) + 1):
@@ -147,6 +149,9 @@ class TestMinors:
                 for cols in combinations(range(A.ncols), k):
                     expected = A.submatrix(rows, cols).det("berkowitz").value
                     assert minor(rows, cols) == expected
+        if A.is_square:
+            # the cofactor kernel is the table's expansion on the full matrix
+            assert A.det("cofactor") == A.det("berkowitz")
 
     def test_table_is_freed_without_the_cycle_collector(self):
         # a memo caught in a reference cycle lingers until a full collection

@@ -1,12 +1,11 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 
 from mvvand.errors import ShapeError
 from mvvand.matrix import ExactMatrix, random_matrix, seeded_rng
-from mvvand.rings import PolynomialRing, PrimeField, ZZ
-from mvvand.subsets import LEX_ON_OMITTED, SubsetIndex
+from mvvand.rings import PolynomialRing, PrimeField, RingElement, ZZ
 from mvvand.vandermonde import (
     demo_naive_failure,
     dual_sign,
@@ -83,6 +82,19 @@ def _inversions(seq):
     return sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
 
 
+def _lex_on_omitted(m, k):
+    """k-subsets of range(m), sorted by the increasing tuple of rows omitted."""
+    return sorted(
+        combinations(range(m), k),
+        key=lambda taken: tuple(i for i in range(m) if i not in taken),
+    )
+
+
+ORDER_CASES = [
+    (ring, m, ncols) for ring in (ZZ, PrimeField(7)) for m, ncols in ((5, 3), (6, 4))
+]
+
+
 class TestMinorMatrix:
     def test_identity(self):
         assert mu_matrix(ExactMatrix.identity(ZZ, 3)) == ExactMatrix.identity(ZZ, 3)
@@ -108,18 +120,28 @@ class TestMinorMatrix:
         out = mu_matrix(X)
         assert (out.nrows, out.ncols) == (comb(5, 2), 3)
 
+    @pytest.mark.parametrize("ring,m,ncols", ORDER_CASES)
+    def test_entries_match_brute_force_in_lex_on_omitted_order(self, ring, m, ncols):
+        X = random_matrix(ring, m, ncols, seeded_rng("muorder", m))
+        cols = range(ncols)
+        expect = [
+            [X.submatrix(taken, [c for c in cols if c != j]).det("berkowitz") for j in cols]
+            for taken in _lex_on_omitted(m, ncols - 1)
+        ]
+        out = mu_matrix(X)
+        assert [list(out.row(r)) for r in range(out.nrows)] == expect
+
     def test_row_permutation_acts_on_omitted_sets(self):
         X = random_matrix(ZZ, 4, 3, seeded_rng("muperm"))
         mu = mu_matrix(X)
-        index = SubsetIndex(4, 2, LEX_ON_OMITTED)
-        subsets = list(index.subsets())
+        subsets = _lex_on_omitted(4, 2)
         for perm in permutations(range(4)):
             Xp = ExactMatrix(ZZ, [X.rows_raw()[perm[i]] for i in range(4)])
             mup = mu_matrix(Xp)
             for r, taken in enumerate(subsets):
                 image = [perm[i] for i in taken]
                 sign = -1 if _inversions(image) % 2 else 1
-                target = index.rank(tuple(sorted(image)))
+                target = subsets.index(tuple(sorted(image)))
                 assert [v.value for v in mup.row(r)] == [
                     sign * v.value for v in mu.row(target)
                 ]
@@ -160,6 +182,24 @@ class TestEta:
 
     def test_worked_determinant(self):
         assert eta_matrix(WORKED, 2).det() == -1
+
+    @pytest.mark.parametrize("ring,m,ncols", ORDER_CASES)
+    def test_entries_match_brute_force_in_lex_on_taken_order(self, ring, m, ncols):
+        X = random_matrix(ring, m, ncols, seeded_rng("etaorder", m))
+        d = m - ncols + 1
+        expect = []
+        for taken in sorted(combinations(range(m), d)):
+            # expand the product of the d linear forms one term at a time
+            coeffs = {}
+            for choice in product(range(ncols), repeat=d):
+                term = RingElement(ring, ring.one)
+                for i, k in zip(taken, choice):
+                    term = term * X.entry(i, k)
+                exps = tuple(choice.count(k) for k in range(ncols))
+                coeffs[exps] = coeffs.get(exps, RingElement(ring, ring.zero)) + term
+            expect.append([coeffs[e] for e in monomial_basis(ncols - 1, d).exponents])
+        out = eta_matrix(X, d)
+        assert [list(out.row(r)) for r in range(out.nrows)] == expect
 
     def test_shape_check(self):
         with pytest.raises(ShapeError):
