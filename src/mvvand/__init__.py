@@ -37,7 +37,6 @@ from .rings import (
     poly_eval,
 )
 from .vandermonde import (
-    MonomialBasis,
     VerificationReport,
     demo_naive_failure,
     dual_sign,

@@ -13,6 +13,7 @@ from math import comb
 
 import click
 
+from . import __version__
 from .errors import BadRingError, MvvandError, ShapeError, SymbolicCapError
 from .genpos import (
     METHOD_ETA,
@@ -62,13 +63,11 @@ def _numeric_ring(ring: str, modulus: int | None):
         return PrimeField(DEFAULT_PRIME if modulus is None else modulus)
     if modulus is not None:
         raise BadRingError(f"--modulus applies only to --ring mod_p, not {ring}")
-    if ring == "int":
-        return ZZ
-    raise BadRingError(f"ring {ring!r} needs the --symbolic flag")
+    return ZZ
 
 
 @click.group()
-@click.version_option(package_name="mvvand")
+@click.version_option(version=__version__)
 def cli():
     """Exact constructions and verifiers for multivariate Vandermonde-type
     determinant identities."""
@@ -80,8 +79,8 @@ def cli():
 @click.option("--output", type=click.Path(), default=None)
 def basis(n, d, output):
     """List the degree-d monomial exponent vectors in n+1 variables."""
-    b = monomial_basis(n, d)
-    _emit({"n": n, "d": d, "exponents": [list(e) for e in b.exponents]}, output)
+    exps = monomial_basis(n, d)
+    _emit({"n": n, "d": d, "exponents": [list(e) for e in exps]}, output)
 
 
 @cli.command()
@@ -103,14 +102,10 @@ def mu(input_, output):
 
 @cli.command()
 @click.option("--input", "input_", type=click.Path(exists=True), required=True)
-@click.option("--d", type=int, default=None, help="Defaults to rows - n.")
 @click.option("--output", type=click.Path(), default=None)
-def eta(input_, d, output):
+def eta(input_, output):
     """Dual matrix: coefficient rows of products of d rows as linear forms."""
-    X = _load(input_)
-    if d is None:
-        d = X.nrows - (X.ncols - 1)
-    _emit(eta_matrix(X, d).to_doc(), output)
+    _emit(eta_matrix(_load(input_)).to_doc(), output)
 
 
 @cli.command()
@@ -129,7 +124,7 @@ def sym(input_, d, output):
 @click.option("--d", type=int, default=None)
 @click.option(
     "--ring",
-    type=click.Choice(["int", "mod_p", "poly"]),
+    type=click.Choice(["int", "mod_p"]),
     default=None,
     help="Ring of a generated matrix; int by default.",
 )
@@ -163,10 +158,8 @@ def verify(
         raise BadRingError(
             "--ring, --symbolic and --modulus apply only to generated matrices"
         )
-    if symbolic and (ring in ("int", "mod_p") or modulus is not None):
+    if symbolic and (ring is not None or modulus is not None):
         raise BadRingError("--symbolic verification runs over the polynomial ring")
-    if ring == "poly" and not symbolic:
-        raise BadRingError("--ring poly requires --symbolic")
 
     if identity == "naive":
         if n is None or d is None:
@@ -277,6 +270,9 @@ def main():
         sys.exit(exc.exit_code)
     except click.exceptions.Abort:
         sys.exit(130)
+    except OSError as exc:
+        click.echo(f"error:io-error: {exc}", err=True)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

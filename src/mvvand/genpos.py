@@ -10,7 +10,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import BadRingError, NotEnoughPointsError, ZeroPointError
-from .matrix import ExactMatrix, seeded_rng
+from .matrix import ExactMatrix, _minor_table, seeded_rng
 from .rings import IntegerRing, PrimeField, DEFAULT_PRIME
 from .vandermonde import eta_matrix
 
@@ -86,7 +86,7 @@ def in_general_position(cfg: PointConfiguration) -> GenPosVerdict:
     failure the lex-least vanishing row subset is returned as witness."""
     _require_enough(cfg)
     M = cfg.matrix
-    minor, is_zero = M.minor_table(), M.ring.is_zero
+    minor, is_zero = _minor_table(M), M.ring.is_zero
     cols = tuple(range(cfg.n + 1))
     for taken in combinations(range(cfg.m), cfg.n + 1):
         if is_zero(minor(taken, cols)):
@@ -99,8 +99,7 @@ def in_general_position_via_eta(cfg: PointConfiguration) -> GenPosVerdict:
     determinant exactly when the minor product does (integral domain)."""
     _require_enough(cfg)
     M = cfg.matrix
-    d = cfg.m - cfg.n
-    verdict = not eta_matrix(M, d).det().is_zero()
+    verdict = not eta_matrix(M).det().is_zero()
     return GenPosVerdict(verdict, None, METHOD_ETA, cfg.n, cfg.m, M.ring.describe())
 
 

@@ -183,32 +183,6 @@ class ExactMatrix:
                 raise BadIndexError("index lists must be strictly increasing")
         return self.submatrix(rows, cols).det()
 
-    def minor_table(self):
-        """Lazy memoised minors: returns ``minor(rows, cols)``, the raw minor
-        on strictly increasing row and column indices of equal length.
-
-        Sub-minors are cached on one int key, the row bitmask above the
-        column bitmask, and shared by every later call; the minor asked for
-        is neither looked up nor cached, as consumers read each once.
-        """
-        ring, rows, shift = self.ring, self._rows, self.ncols
-        memo = {}
-
-        def minor(R, C):
-            R, C = tuple(R), tuple(C)
-            if len(R) != len(C):
-                raise BadIndexError("row and column selections differ in length")
-            if not R:
-                return ring.one
-            key = 0
-            for i in R:
-                key |= 1 << (i + shift)
-            for j in C:
-                key |= 1 << j
-            return _laplace_minor(ring, rows, shift, memo, R, C, key)
-
-        return minor
-
     # -- shared file format -------------------------------------------------
 
     def to_doc(self) -> dict:
@@ -264,6 +238,31 @@ def random_matrix(ring: Ring, nrows: int, ncols: int, rng) -> ExactMatrix:
 
 # ---------------------------------------------------------------------------
 # determinant algorithms on raw entries
+
+
+def _minor_table(M: ExactMatrix):
+    """Lazy memoised minors of M: ``minor(rows, cols)`` is the raw minor on
+    strictly increasing index tuples of equal length, which it does not
+    check; ``ExactMatrix.minor`` is the checked public minor.
+
+    Sub-minors are cached on one int key, the row bitmask above the column
+    bitmask, and shared by every later call; the minor asked for is neither
+    looked up nor cached, as consumers read each once.
+    """
+    ring, rows, shift = M.ring, M._rows, M.ncols
+    memo = {}
+
+    def minor(R, C):
+        if not R:
+            return ring.one
+        key = 0
+        for i in R:
+            key |= 1 << (i + shift)
+        for j in C:
+            key |= 1 << j
+        return _laplace_minor(ring, rows, shift, memo, R, C, key)
+
+    return minor
 
 
 def _det_cofactor(ring, rows):

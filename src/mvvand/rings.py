@@ -67,14 +67,12 @@ class Polynomial:
     :class:`PolynomialRing`; the polynomial itself only knows its arity.
     """
 
-    __slots__ = ("nvars", "terms", "_maxdeg")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict):
         # terms is trusted: packed keys, no zero coefficients
         self.nvars = nvars
         self.terms = terms
-        shift = _EXP_BITS * nvars
-        self._maxdeg = max((k >> shift for k in terms), default=0)
 
     # -- constructors -------------------------------------------------------
 
@@ -115,8 +113,9 @@ class Polynomial:
         return not self.terms
 
     def total_degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        return self._maxdeg
+        """Total degree; 0 for the zero polynomial.  The degree field sits
+        above the exponent fields, so the largest key has the largest degree."""
+        return max(self.terms, default=0) >> (_EXP_BITS * self.nvars)
 
     def items_exponents(self):
         """Iterate (exponent-tuple, coefficient) in descending lex order."""
@@ -169,7 +168,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        if self._maxdeg + other._maxdeg >= _EXP_LIMIT:
+        if self.total_degree() + other.total_degree() >= _EXP_LIMIT:
             raise ExponentOverflowError("product degree exceeds packed limit")
         a, b = self.terms, other.terms
         if len(a) < len(b):

@@ -12,11 +12,11 @@ exponent vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import BadIndexError, ShapeError
-from .matrix import ExactMatrix, random_matrix, seeded_rng
+from .matrix import ExactMatrix, _minor_table, random_matrix, seeded_rng
 from .rings import Polynomial, PolynomialRing, RingElement, ZZ
 
 SYMBOLIC_CAP = 10  # default bound on C(n+d, n) for symbolic verification
@@ -26,39 +26,40 @@ SYMBOLIC_CAP = 10  # default bound on C(n+d, n) for symbolic verification
 # monomial basis
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
+def _exponents(nvars: int, d: int) -> tuple:
+    """Exponent vectors of total degree d in nvars variables, largest first:
+    the multisets of d variables come in lex order, so the vectors counting
+    them come out in descending lex order."""
+    out = []
+    for multiset in combinations_with_replacement(range(nvars), d):
+        exps = [0] * nvars
+        for k in multiset:
+            exps[k] += 1
+        out.append(tuple(exps))
+    return tuple(out)
+
+
+def monomial_basis(n: int, d: int) -> tuple:
     """Exponent vectors of total degree d in n+1 variables, largest first."""
-
-    n: int
-    d: int
-    exponents: tuple
-
-    def __len__(self):
-        return len(self.exponents)
-
-
-def _compositions_desc(nparts: int, total: int):
-    if nparts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions_desc(nparts - 1, total - head):
-            yield (head,) + rest
-
-
-def monomial_basis(n: int, d: int) -> MonomialBasis:
     if n < 1:
         raise ShapeError("projective dimension must be at least 1")
     if d < 0:
         raise ShapeError("degree must be nonnegative")
-    exps = tuple(_compositions_desc(n + 1, d))
+    exps = _exponents(n + 1, d)
     assert len(exps) == comb(n + d, n)
-    return MonomialBasis(n, d, exps)
+    return exps
 
 
 # ---------------------------------------------------------------------------
 # constructors
+
+
+def _shape_nd(X: ExactMatrix) -> tuple:
+    n = X.ncols - 1
+    d = X.nrows - n
+    if n < 1 or d < 0:
+        raise ShapeError(f"expected an (n+d)x(n+1) matrix, got {X.nrows}x{X.ncols}")
+    return n, d
 
 
 def _monomial_value(ring, row, exps):
@@ -77,7 +78,7 @@ def veronese_matrix(X: ExactMatrix, d: int) -> ExactMatrix:
     basis = monomial_basis(n, d)
     ring = X.ring
     rows = [
-        [_monomial_value(ring, row, exps) for exps in basis.exponents]
+        [_monomial_value(ring, row, exps) for exps in basis]
         for row in X.rows_raw()
     ]
     return ExactMatrix(ring, rows)
@@ -94,7 +95,7 @@ def mu_matrix(X: ExactMatrix) -> ExactMatrix:
     m = X.nrows
     if n < 1 or m < n:
         raise ShapeError(f"minor matrix undefined for shape {m}x{n + 1}")
-    minor = X.minor_table()
+    minor = _minor_table(X)
     all_cols = tuple(range(n + 1))
     omit = [all_cols[:j] + all_cols[j + 1:] for j in all_cols]
     rows = [
@@ -111,7 +112,7 @@ def mu_prime(X: ExactMatrix) -> RingElement:
     if n < 1 or m < n:
         raise ShapeError(f"minor product undefined for shape {m}x{n + 1}")
     ring = X.ring
-    minor = X.minor_table()
+    minor = _minor_table(X)
     acc = ring.one
     cols = tuple(range(n + 1))
     for taken in combinations(range(m), n + 1):
@@ -139,23 +140,17 @@ def _expand_linear_forms(ring, forms, nvars):
     return acc
 
 
-def eta_matrix(X: ExactMatrix, d: int) -> ExactMatrix:
+def eta_matrix(X: ExactMatrix) -> ExactMatrix:
     """Dual matrix: each row is the coefficient vector of the product of d
     rows of X read as linear forms; row choices ordered lex on rows taken."""
-    n = X.ncols - 1
-    if n < 1:
-        raise ShapeError("dual matrix needs at least two columns")
-    if d < 0 or X.nrows != n + d:
-        raise ShapeError(
-            f"dual matrix of degree {d} needs {n + d} rows, got {X.nrows}"
-        )
+    n, d = _shape_nd(X)
     ring = X.ring
     basis = monomial_basis(n, d)
     raw = X.rows_raw()
     rows = []
     for taken in combinations(range(n + d), d):
         coeffs = _expand_linear_forms(ring, [raw[i] for i in taken], n + 1)
-        rows.append([coeffs.get(exps, ring.zero) for exps in basis.exponents])
+        rows.append([coeffs.get(exps, ring.zero) for exps in basis])
     return ExactMatrix(ring, rows)
 
 
@@ -171,7 +166,7 @@ def sym_power_matrix(u: ExactMatrix, d: int) -> ExactMatrix:
     m = u.nrows
     ring = u.ring
     raw = u.rows_raw()
-    basis = tuple(_compositions_desc(m, d))
+    basis = _exponents(m, d)
     columns = []
     for exps in basis:
         forms = []
@@ -184,20 +179,12 @@ def sym_power_matrix(u: ExactMatrix, d: int) -> ExactMatrix:
     return ExactMatrix(ring, rows)
 
 
-def pairing_matrix(X: ExactMatrix, d: int | None = None) -> ExactMatrix:
+def pairing_matrix(X: ExactMatrix) -> ExactMatrix:
     """Square matrix pairing row choices s, s': the (s, s') entry is the
     product over j in s' of the determinant whose first row is row j of X
     and whose remaining rows are the rows outside s, in increasing order.
     Off-diagonal entries vanish identically."""
-    n = X.ncols - 1
-    if n < 1:
-        raise ShapeError("pairing matrix needs at least two columns")
-    if d is None:
-        d = X.nrows - n
-    if d < 0 or X.nrows != n + d:
-        raise ShapeError(
-            f"pairing matrix of degree {d} needs {n + d} rows, got {X.nrows}"
-        )
+    n, d = _shape_nd(X)
     ring = X.ring
     raw = X.rows_raw()
     subsets = list(combinations(range(n + d), d))
@@ -258,14 +245,6 @@ class VerificationReport:
         return doc
 
 
-def _shape_nd(X: ExactMatrix) -> tuple:
-    n = X.ncols - 1
-    d = X.nrows - n
-    if n < 1 or d < 0:
-        raise ShapeError(f"expected an (n+d)x(n+1) matrix, got {X.nrows}x{X.ncols}")
-    return n, d
-
-
 def verify_hdv(X: ExactMatrix) -> VerificationReport:
     """Check det(nu^d mu X) = (mu' X)^n on an (n+d) x (n+1) matrix."""
     n, d = _shape_nd(X)
@@ -295,7 +274,7 @@ def _up_to_sign(lhs: RingElement, rhs: RingElement) -> tuple:
 def verify_dual(X: ExactMatrix) -> VerificationReport:
     """Check det(eta^d X) = +/- mu' X; the sign is reported when visible."""
     n, d = _shape_nd(X)
-    lhs = eta_matrix(X, d).det()
+    lhs = eta_matrix(X).det()
     rhs = mu_prime(X)
     verdict, sign = _up_to_sign(lhs, rhs)
     return VerificationReport(
@@ -379,7 +358,7 @@ def verify_pairing(X: ExactMatrix) -> VerificationReport:
     """Check the pairing matrix is diagonal with det = +/- (mu' X)^(n+1)."""
     n, d = _shape_nd(X)
     ring = X.ring
-    P = pairing_matrix(X, d)
+    P = pairing_matrix(X)
     raw = P.rows_raw()
     diagonal = all(
         ring.is_zero(raw[i][j])

@@ -36,6 +36,12 @@ class TestConstructors:
         result, doc = run_json(runner, ["basis", "--n", "1", "--d", "2"])
         assert doc["exponents"] == [[2, 0], [1, 1], [0, 2]]
 
+    def test_basis_many_variables(self, runner):
+        # the enumerator used to recurse once per variable
+        result, doc = run_json(runner, ["basis", "--n", "1200", "--d", "1"])
+        assert result.exit_code == 0
+        assert len(doc["exponents"]) == 1201
+
     def test_mu(self, runner, worked_file):
         result, doc = run_json(runner, ["mu", "--input", worked_file])
         assert doc["rows"] == [["1", "1"], ["1", "0"], ["0", "1"]]
@@ -43,7 +49,7 @@ class TestConstructors:
     def test_eta_degree_one_echoes(self, runner, tmp_path):
         path = tmp_path / "sq.json"
         ExactMatrix.from_rows(ZZ, [[1, 2], [3, 4]]).save(path)
-        result, doc = run_json(runner, ["eta", "--input", str(path), "--d", "1"])
+        result, doc = run_json(runner, ["eta", "--input", str(path)])
         assert doc["rows"] == [["1", "2"], ["3", "4"]]
 
     def test_veronese(self, runner, worked_file):
@@ -213,11 +219,55 @@ class TestErrors:
         assert proc.stderr.startswith("error:bad-ring:")
         assert len(proc.stderr.splitlines()) == 1
 
-    def test_algorithm_option_is_usage_error(self):
-        # det() picks its kernel by ring; the verifiers take no algorithm
-        proc = run_main(["verify", "hdv", "--n", "2", "--d", "2", "--algorithm", "bareiss"])
+    @pytest.mark.parametrize(
+        "args,error,option",
+        [
+            # det() picks its kernel by ring; the verifiers take no algorithm
+            pytest.param(
+                ["verify", "hdv", "--n", "2", "--d", "2", "--algorithm", "bareiss"],
+                "No such option", "--algorithm",
+                id="algorithm",
+            ),
+            # the shape of the input fixes d
+            pytest.param(
+                ["eta", "--input", "{worked}", "--d", "2"],
+                "No such option", "--d",
+                id="eta-d",
+            ),
+            # --symbolic alone asks for Z[x]
+            pytest.param(
+                ["verify", "hdv", "--n", "1", "--d", "1", "--symbolic", "--ring", "poly"],
+                "Invalid value", "--ring",
+                id="ring-poly",
+            ),
+        ],
+    )
+    def test_removed_option_is_usage_error(self, worked_file, args, error, option):
+        proc = run_main([a.format(worked=worked_file) for a in args])
         assert proc.returncode == 2
-        assert "No such option" in proc.stderr and "--algorithm" in proc.stderr
+        assert error in proc.stderr and option in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(["mu", "--input", "{tmp}"], id="input-dir"),
+            pytest.param(["basis", "--n", "1", "--d", "1", "--output", "{tmp}"], id="output-dir"),
+            pytest.param(
+                ["basis", "--n", "1", "--d", "1", "--output", "{tmp}/missing/x.json"],
+                id="output-missing-dir",
+            ),
+        ],
+    )
+    def test_unusable_path_is_io_error(self, tmp_path, args):
+        proc = run_main([a.format(tmp=tmp_path) for a in args])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:io-error:")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_version_from_source_checkout(self):
+        proc = run_main(["--version"])
+        assert proc.returncode == 0
+        assert "0.1.0" in proc.stdout
 
     def test_error_line_is_single_and_coded(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvvand.errors import (
     BadRingError,
+    ExponentOverflowError,
     InexactDivisionError,
     ParseError,
     RingMismatchError,
@@ -69,6 +70,14 @@ class TestBasics:
             PrimeField(psi13)
         with pytest.raises(BadRingError):
             PrimeField(2**89 - 1)  # prime, but too large to certify
+
+    def test_product_degree_limit(self):
+        # packed keys hold total degrees up to 65535
+        x = Polynomial.from_terms(2, [((32768, 0), 1), ((0, 0), 1)])
+        y = Polynomial.from_terms(2, [((0, 32767), 1), ((1, 0), 1)])
+        assert (x * y).total_degree() == 65535
+        with pytest.raises(ExponentOverflowError):
+            x * x
 
     def test_neg_and_pow(self):
         assert -F7.element(3) == F7.element(4)

@@ -1,5 +1,5 @@
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -29,24 +29,28 @@ WORKED = ExactMatrix.from_rows(ZZ, [[1, 0], [0, 1], [1, 1]])
 
 class TestMonomialBasis:
     def test_projective_line_degree_two(self):
-        assert monomial_basis(1, 2).exponents == ((2, 0), (1, 1), (0, 2))
+        assert monomial_basis(1, 2) == ((2, 0), (1, 1), (0, 2))
 
     def test_linear(self):
-        assert monomial_basis(2, 1).exponents == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert monomial_basis(2, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    def test_plane_degree_two_matches_sort_oracle(self):
-        # independent oracle: enumerate all exponent triples, sort descending
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 5) for d in range(5)])
+    def test_matches_sort_oracle(self, n, d):
+        # independent oracle: enumerate all exponent vectors, sort descending
         brute = sorted(
-            (
-                (a, b, c)
-                for a in range(3)
-                for b in range(3)
-                for c in range(3)
-                if a + b + c == 2
-            ),
+            (e for e in product(range(d + 1), repeat=n + 1) if sum(e) == d),
             reverse=True,
         )
-        assert list(monomial_basis(2, 2).exponents) == brute
+        assert list(monomial_basis(n, d)) == brute
+        # S^d of diag(primes) is diagonal with entry prod p_k^e_k at basis
+        # monomial e, which names e uniquely
+        primes = (2, 3, 5, 7, 11)[: n + 1]
+        u = ExactMatrix.from_rows(
+            ZZ, [[p if i == j else 0 for j, p in enumerate(primes)] for i in range(n + 1)]
+        )
+        S = sym_power_matrix(u, d)
+        expect = [prod(p**k for p, k in zip(primes, e)) for e in brute]
+        assert [S.entry(i, i) for i in range(S.nrows)] == expect
 
     def test_count(self):
         for n in range(1, 5):
@@ -172,16 +176,16 @@ class TestMinorProduct:
 
 class TestEta:
     def test_worked_example(self):
-        assert eta_matrix(WORKED, 2) == ExactMatrix.from_rows(
+        assert eta_matrix(WORKED) == ExactMatrix.from_rows(
             ZZ, [[0, 1, 0], [1, 1, 0], [0, 1, 1]]
         )
 
     def test_degree_one_is_identity_map(self):
         X = random_matrix(ZZ, 3, 3, seeded_rng("eta1"))
-        assert eta_matrix(X, 1) == X
+        assert eta_matrix(X) == X
 
     def test_worked_determinant(self):
-        assert eta_matrix(WORKED, 2).det() == -1
+        assert eta_matrix(WORKED).det() == -1
 
     @pytest.mark.parametrize("ring,m,ncols", ORDER_CASES)
     def test_entries_match_brute_force_in_lex_on_taken_order(self, ring, m, ncols):
@@ -197,13 +201,17 @@ class TestEta:
                     term = term * X.entry(i, k)
                 exps = tuple(choice.count(k) for k in range(ncols))
                 coeffs[exps] = coeffs.get(exps, RingElement(ring, ring.zero)) + term
-            expect.append([coeffs[e] for e in monomial_basis(ncols - 1, d).exponents])
-        out = eta_matrix(X, d)
+            expect.append([coeffs[e] for e in monomial_basis(ncols - 1, d)])
+        out = eta_matrix(X)
         assert [list(out.row(r)) for r in range(out.nrows)] == expect
 
     def test_shape_check(self):
+        # a 1x3 matrix has n = 2 and so d = 1 - 2 < 0
+        thin = ExactMatrix.from_rows(ZZ, [[1, 2, 3]])
         with pytest.raises(ShapeError):
-            eta_matrix(WORKED, 1)
+            eta_matrix(thin)
+        with pytest.raises(ShapeError):
+            pairing_matrix(thin)
 
 
 class TestSymPower:
