@@ -20,7 +20,6 @@ from .errors import (
 from .genpos import (
     GenPosVerdict,
     PointConfiguration,
-    bench_genpos,
     in_general_position,
     in_general_position_via_eta,
 )
@@ -34,12 +33,10 @@ from .rings import (
     Ring,
     RingElement,
     ZZ,
-    poly_eval,
 )
 from .vandermonde import (
     VerificationReport,
     demo_naive_failure,
-    dual_sign,
     eta_matrix,
     monomial_basis,
     mu_matrix,

@@ -19,7 +19,6 @@ from .genpos import (
     METHOD_ETA,
     METHOD_MINORS,
     PointConfiguration,
-    bench_genpos,
     in_general_position,
     in_general_position_via_eta,
 )
@@ -54,10 +53,6 @@ def _emit(doc: dict, output: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _load(path: str) -> ExactMatrix:
-    return ExactMatrix.load(path)
-
-
 def _numeric_ring(ring: str, modulus: int | None):
     if ring == "mod_p":
         return PrimeField(DEFAULT_PRIME if modulus is None else modulus)
@@ -89,7 +84,7 @@ def basis(n, d, output):
 @click.option("--output", type=click.Path(), default=None)
 def veronese(input_, d, output):
     """Apply the degree-d Veronese map to each row of a matrix."""
-    _emit(veronese_matrix(_load(input_), d).to_doc(), output)
+    _emit(veronese_matrix(ExactMatrix.load(input_), d).to_doc(), output)
 
 
 @cli.command()
@@ -97,7 +92,7 @@ def veronese(input_, d, output):
 @click.option("--output", type=click.Path(), default=None)
 def mu(input_, output):
     """Matrix of order-n minors of an m x (n+1) matrix."""
-    _emit(mu_matrix(_load(input_)).to_doc(), output)
+    _emit(mu_matrix(ExactMatrix.load(input_)).to_doc(), output)
 
 
 @cli.command()
@@ -105,7 +100,7 @@ def mu(input_, output):
 @click.option("--output", type=click.Path(), default=None)
 def eta(input_, output):
     """Dual matrix: coefficient rows of products of d rows as linear forms."""
-    _emit(eta_matrix(_load(input_)).to_doc(), output)
+    _emit(eta_matrix(ExactMatrix.load(input_)).to_doc(), output)
 
 
 @cli.command()
@@ -114,7 +109,7 @@ def eta(input_, output):
 @click.option("--output", type=click.Path(), default=None)
 def sym(input_, d, output):
     """Matrix of the d-th symmetric power of a square matrix."""
-    _emit(sym_power_matrix(_load(input_), d).to_doc(), output)
+    _emit(sym_power_matrix(ExactMatrix.load(input_), d).to_doc(), output)
 
 
 @cli.command()
@@ -197,9 +192,11 @@ def verify(
 def _matrix_for_verify(identity, input_, n, d, ring, modulus, seed, symbolic, cap):
     square = identity == "sym"
     if input_ is not None:
-        return _load(input_)
+        return ExactMatrix.load(input_)
     if n is None or d is None:
         raise ShapeError(f"verify {identity} needs --input or --n and --d")
+    if n < 1 or d < 0:
+        raise ShapeError(f"verify {identity} needs n >= 1 and d >= 0, got n={n}, d={d}")
     if square:
         shape = (n, n)
         order = comb(n + d - 1, d)
@@ -227,28 +224,12 @@ def _matrix_for_verify(identity, input_, n, d, ring, modulus, seed, symbolic, ca
 @click.option("--output", type=click.Path(), default=None)
 def genpos(input_, method, output):
     """Test whether the rows of a matrix are points in general position."""
-    cfg = PointConfiguration(_load(input_))
+    cfg = PointConfiguration(ExactMatrix.load(input_))
     if method == METHOD_MINORS:
         verdict = in_general_position(cfg)
     else:
         verdict = in_general_position_via_eta(cfg)
     _emit(verdict.to_doc(), output)
-
-
-@cli.command()
-@click.option("--n", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--seed", type=int, default=0)
-@click.option("--ring", type=click.Choice(["int", "mod_p"]), default="mod_p")
-@click.option("--modulus", type=int, default=None)
-@click.option("--output", type=click.Path(), default=None)
-def bench(n, d, trials, seed, ring, modulus, output):
-    """Time the minor-product route against the dual-determinant route."""
-    report = bench_genpos(n, d, trials, seed, _numeric_ring(ring, modulus))
-    _emit(report, output)
-    if trials and report["agreement_percent"] < 100.0:
-        sys.exit(1)
 
 
 @cli.command()

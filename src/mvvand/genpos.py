@@ -1,17 +1,15 @@
 """General-position testing for finite point configurations in projective
-n-space, plus a benchmark comparing the minor-product route against the
-single-determinant dual-matrix route.
+n-space, by the minor-product route or the single-determinant dual-matrix
+route.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .errors import BadRingError, NotEnoughPointsError, ZeroPointError
-from .matrix import ExactMatrix, _minor_table, seeded_rng
-from .rings import IntegerRing, PrimeField, DEFAULT_PRIME
+from .matrix import ExactMatrix, _minor_table
+from .rings import IntegerRing, PrimeField
 from .vandermonde import eta_matrix
 
 METHOD_MINORS = "minors"
@@ -112,43 +110,3 @@ def _random_configuration(ring, m, n, rng) -> PointConfiguration:
         rows.append(row)
     return PointConfiguration(ExactMatrix(ring, rows))
 
-
-def bench_genpos(n: int, d: int, trials: int, seed: int = 0, ring=None) -> dict:
-    """Time the minor-product route against the dual-determinant route on
-    identical seeded inputs of m = n+d points, checking they agree."""
-    if n < 1 or d < 1 or trials < 0:
-        raise NotEnoughPointsError("benchmark needs n >= 1, d >= 1, trials >= 0")
-    if ring is None:
-        ring = PrimeField(DEFAULT_PRIME)
-    m = n + d
-    minors_seconds = 0.0
-    eta_seconds = 0.0
-    agree = 0
-    true_count = 0
-    for t in range(trials):
-        cfg = _random_configuration(ring, m, n, seeded_rng("bench", seed, t))
-        t0 = time.perf_counter()
-        v1 = in_general_position(cfg)
-        t1 = time.perf_counter()
-        v2 = in_general_position_via_eta(cfg)
-        t2 = time.perf_counter()
-        minors_seconds += t1 - t0
-        eta_seconds += t2 - t1
-        if v1.in_general_position == v2.in_general_position:
-            agree += 1
-        if v1.in_general_position:
-            true_count += 1
-    return {
-        "n": n,
-        "d": d,
-        "m": m,
-        "ring": ring.describe(),
-        "seed": seed,
-        "trials": trials,
-        "agreement_percent": 100.0 * agree / trials if trials else 100.0,
-        "general_position_count": true_count,
-        "minors_route_seconds": minors_seconds,
-        "eta_route_seconds": eta_seconds,
-        "minor_count": comb(m, n + 1),
-        "eta_order": comb(m, n),
-    }

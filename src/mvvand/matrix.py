@@ -81,28 +81,6 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.ring.describe()}, {self.nrows}x{self.ncols})"
 
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.ring != other.ring:
-            raise ShapeError("matrix product across different rings")
-        if self.ncols != other.nrows:
-            raise ShapeError(
-                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-            )
-        add, mul = self.ring.add, self.ring.mul
-        bt = list(zip(*other._rows))
-        rows = []
-        for r in self._rows:
-            out = []
-            for c in bt:
-                acc = self.ring.zero
-                for a, b in zip(r, c):
-                    acc = add(acc, mul(a, b))
-                out.append(acc)
-            rows.append(out)
-        return ExactMatrix(self.ring, rows)
-
     # -- shape operations ---------------------------------------------------
 
     def _check_rows_cols(self, rows, cols):

@@ -644,10 +644,14 @@ def ring_from_doc(doc: dict) -> Ring:
     if kind == "mod_p":
         if "modulus" not in doc:
             raise ParseError("mod_p ring requires a modulus")
+        modulus = doc["modulus"]
+        # int() would truncate a JSON float and read a bool as 0 or 1
+        if not isinstance(modulus, (str, int)) or isinstance(modulus, bool):
+            raise ParseError(f"bad modulus: {modulus!r}")
         try:
-            p = int(doc["modulus"])
-        except (TypeError, ValueError):
-            raise ParseError(f"bad modulus: {doc.get('modulus')!r}") from None
+            p = int(modulus)
+        except ValueError:
+            raise ParseError(f"bad modulus: {modulus!r}") from None
         return PrimeField(p)
     if kind == "poly":
         variables = doc.get("variables")
@@ -754,29 +758,3 @@ class RingElement:
     def __repr__(self):
         return f"<{self.ring.describe()}: {self}>"
 
-
-def poly_eval(p: RingElement, point: Sequence[RingElement]) -> RingElement:
-    """Evaluate a polynomial element at a point over any supported ring.
-
-    The point entries must all share one ring; the result lives there.
-    """
-    if not isinstance(p.ring, PolynomialRing):
-        raise BadRingError("poly_eval expects a polynomial element")
-    if len(point) != p.ring.nvars:
-        raise RingMismatchError(
-            f"point has {len(point)} coordinates, expected {p.ring.nvars}"
-        )
-    if not point:
-        raise RingMismatchError("empty point")
-    target = point[0].ring
-    for x in point[1:]:
-        if x.ring != target:
-            raise RingMismatchError("point coordinates from different rings")
-    acc = target.zero
-    for exps, c in p.value.items_exponents():
-        term = target.from_int(c)
-        for x, e in zip(point, exps):
-            if e:
-                term = target.mul(term, (x ** e).value)
-        acc = target.add(acc, term)
-    return RingElement(target, acc)

@@ -191,14 +191,13 @@ def pairing_matrix(X: ExactMatrix) -> ExactMatrix:
     rows = []
     for s in subsets:
         outside = [raw[i] for i in range(n + d) if i not in s]
+        # one determinant per row j; each entry of this row multiplies d of them
+        block = [ExactMatrix(ring, [raw[j]] + outside).det().value for j in range(n + d)]
         row = []
         for s_prime in subsets:
             acc = ring.one
             for j in s_prime:
-                block = ExactMatrix(ring, [raw[j]] + outside)
-                acc = ring.mul(acc, block.det().value)
-                if ring.is_zero(acc):
-                    break
+                acc = ring.mul(acc, block[j])
             row.append(acc)
         rows.append(row)
     return ExactMatrix(ring, rows)
@@ -287,21 +286,6 @@ def verify_dual(X: ExactMatrix) -> VerificationReport:
         verdict=verdict,
         sign=sign,
     )
-
-
-def dual_sign(n: int, d: int, seed: int = 0) -> int:
-    """Empirical sign relating det(eta^d X) to mu' X for fixed (n, d),
-    read off a generic integer instance."""
-    trial = 0
-    while True:
-        rng = seeded_rng("dual-sign", seed, n, d, trial)
-        X = random_matrix(ZZ, n + d, n + 1, rng)
-        report = verify_dual(X)
-        if report.verdict == "unequal":
-            raise AssertionError("dual identity failed on a random instance")
-        if report.sign is not None:
-            return report.sign
-        trial += 1
 
 
 def verify_column_lemma(X: ExactMatrix, alpha, src: int, dst: int) -> VerificationReport:

@@ -151,13 +151,6 @@ class TestGenposAndBench:
         )
         assert doc["verdict"] is False and doc["method"] == "eta"
 
-    def test_bench(self, runner):
-        result, doc = run_json(
-            runner,
-            ["bench", "--n", "2", "--d", "4", "--trials", "5", "--seed", "2"],
-        )
-        assert doc["agreement_percent"] == 100.0
-
 
 def run_main(args):
     import subprocess, sys
@@ -176,6 +169,9 @@ class TestErrors:
             ('{"ring": "int", "rows": [1, 2]}', "shape-error"),  # rows not lists
             ('{"ring": "poly", "variables": 5, "rows": [["1"]]}', "parse-error"),
             ('{"ring": "poly", "variables": [1], "rows": [["1"]]}', "bad-ring"),
+            # int() used to truncate these to Z/7 and Z/1
+            ('{"ring": "mod_p", "modulus": 7.5, "rows": [["1", "0"], ["0", "1"]]}', "parse-error"),
+            ('{"ring": "mod_p", "modulus": true, "rows": [["1", "0"], ["0", "1"]]}', "parse-error"),
         ],
     )
     def test_malformed_file(self, tmp_path, text, code):
@@ -201,7 +197,6 @@ class TestErrors:
             ["verify", "hdv", "--n", "1", "--d", "1", "--symbolic", "--modulus", "7"],
             ["verify", "hdv", "--input", "{worked}", "--modulus", "7"],
             ["verify", "naive", "--n", "2", "--d", "1", "--modulus", "7"],
-            ["bench", "--n", "2", "--d", "2", "--ring", "int", "--modulus", "7"],
             ["verify", "hdv", "--input", "{worked}", "--ring", "mod_p"],
             ["verify", "hdv", "--input", "{worked}", "--ring", "int"],
             ["verify", "hdv", "--input", "{worked}", "--symbolic"],
@@ -240,12 +235,30 @@ class TestErrors:
                 "Invalid value", "--ring",
                 id="ring-poly",
             ),
+            # the benchmark harness times both general-position routes
+            pytest.param(["bench", "--n", "2", "--d", "2"], "No such command", "bench", id="bench"),
         ],
     )
     def test_removed_option_is_usage_error(self, worked_file, args, error, option):
         proc = run_main([a.format(worked=worked_file) for a in args])
         assert proc.returncode == 2
         assert error in proc.stderr and option in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # each used to end in a traceback from comb(), or in bad-ring
+            pytest.param(["verify", "hdv", "--n", "-1", "--d", "1"], id="hdv-n"),
+            pytest.param(["verify", "hdv", "--n", "1", "--d", "-2"], id="hdv-d"),
+            pytest.param(["verify", "sym", "--n", "2", "--d", "-1"], id="sym-d"),
+            pytest.param(["verify", "sym", "--n", "0", "--d", "1", "--symbolic"], id="sym-n-symbolic"),
+        ],
+    )
+    def test_bad_generated_shape_is_shape_error(self, args):
+        proc = run_main(args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:shape-error:")
+        assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "args",

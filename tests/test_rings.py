@@ -16,9 +16,10 @@ from mvvand.rings import (
     RingElement,
     ZZ,
     is_prime,
-    poly_eval,
     ring_from_doc,
 )
+
+from oracles import poly_eval
 
 XY = PolynomialRing(["x", "y"])
 F7 = PrimeField(7)

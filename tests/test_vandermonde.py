@@ -8,7 +8,6 @@ from mvvand.matrix import ExactMatrix, random_matrix, seeded_rng
 from mvvand.rings import PolynomialRing, PrimeField, RingElement, ZZ
 from mvvand.vandermonde import (
     demo_naive_failure,
-    dual_sign,
     eta_matrix,
     monomial_basis,
     mu_matrix,
@@ -23,6 +22,8 @@ from mvvand.vandermonde import (
     verify_sym_power,
     veronese_matrix,
 )
+
+from oracles import matmul
 
 WORKED = ExactMatrix.from_rows(ZZ, [[1, 0], [0, 1], [1, 1]])
 
@@ -237,19 +238,54 @@ class TestSymPower:
         for t in range(10):
             u = random_matrix(ZZ, 3, 3, seeded_rng("symfun-u", t))
             v = random_matrix(ZZ, 3, 3, seeded_rng("symfun-v", t))
-            assert sym_power_matrix(u @ v, 2) == sym_power_matrix(
-                u, 2
-            ) @ sym_power_matrix(v, 2)
+            assert sym_power_matrix(matmul(u, v), 2) == matmul(
+                sym_power_matrix(u, 2), sym_power_matrix(v, 2)
+            )
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
             sym_power_matrix(ExactMatrix.from_rows(ZZ, [[1, 2, 3], [4, 5, 6]]), 2)
 
 
+PAIRING_CASES = [(ring, n, d) for ring in (ZZ, PrimeField(7)) for n, d in ((1, 2), (2, 2), (2, 3))]
+
+
 class TestPairing:
     def test_hand_diagonal(self):
         P = pairing_matrix(WORKED)
         assert P == ExactMatrix.from_rows(ZZ, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("ring,n,d", PAIRING_CASES)
+    def test_entries_match_definition(self, ring, n, d):
+        X = random_matrix(ring, n + d, n + 1, seeded_rng("pairdef", n, d))
+        raw = X.rows_raw()
+        subsets = list(combinations(range(n + d), d))
+        expect = []
+        for s in subsets:
+            outside = [raw[i] for i in range(n + d) if i not in s]
+            row = []
+            for s_prime in subsets:
+                entry = RingElement(ring, ring.one)
+                for j in s_prime:
+                    entry = entry * ExactMatrix(ring, [raw[j]] + outside).det("berkowitz")
+                row.append(entry)
+            expect.append(row)
+        P = pairing_matrix(X)
+        assert [list(P.row(r)) for r in range(P.nrows)] == expect
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (2, 3)])
+    def test_one_det_per_block(self, n, d, monkeypatch):
+        # one determinant per (row choice s, row j of X), off the diagonal too
+        calls = []
+        det = ExactMatrix.det
+
+        def counting_det(M, *args):
+            calls.append(M.nrows)
+            return det(M, *args)
+
+        monkeypatch.setattr(ExactMatrix, "det", counting_det)
+        pairing_matrix(random_matrix(ZZ, n + d, n + 1, seeded_rng("pairdets", n, d)))
+        assert calls == [n + 1] * ((n + d) * comb(n + d, d))
 
     def test_off_diagonal_vanishes(self):
         for n, d in ((1, 2), (2, 2)):
@@ -334,9 +370,6 @@ class TestVerifyDual:
                 if report.sign is not None:
                     signs.add(report.sign)
             assert len(signs) == 1
-
-    def test_dual_sign_helper(self):
-        assert dual_sign(1, 2) == 1
 
 
 class TestColumnLemma:
