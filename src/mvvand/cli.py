@@ -160,7 +160,7 @@ def verify(
         if n is None or d is None:
             raise ShapeError("verify naive needs --n and --d")
         report = demo_naive_failure(n, d, seed)
-        expected = "unequal" if n >= 2 else "equal"
+        expected = "unequal" if n >= 2 and d >= 2 else "equal"
     else:
         X = _matrix_for_verify(
             identity, input_, n, d, ring, modulus, seed, symbolic, symbolic_cap

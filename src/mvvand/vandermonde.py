@@ -65,8 +65,8 @@ def _shape_nd(X: ExactMatrix) -> tuple:
 def _monomial_value(ring, row, exps):
     acc = ring.one
     for x, e in zip(row, exps):
-        for _ in range(e):
-            acc = ring.mul(acc, x)
+        if e:
+            acc = ring.mul(acc, ring.pow(x, e))
     return acc
 
 
@@ -109,7 +109,7 @@ def mu_prime(X: ExactMatrix) -> RingElement:
     """Product of all order-(n+1) minors of X; empty product is one."""
     n = X.ncols - 1
     m = X.nrows
-    if n < 1 or m < n:
+    if n < 1:
         raise ShapeError(f"minor product undefined for shape {m}x{n + 1}")
     ring = X.ring
     minor = _minor_table(X)
@@ -368,8 +368,9 @@ def verify_pairing(X: ExactMatrix) -> VerificationReport:
 
 def demo_naive_failure(n: int, d: int, seed: int = 0) -> VerificationReport:
     """Compare det(nu^d X) with mu' X on a seeded random square-Veronese
-    instance.  For n >= 2 the two sides disagree generically; for n = 1 the
-    comparison degenerates to the classical projective identity."""
+    instance.  For n >= 2 and d >= 2 the two sides disagree generically.
+    For n = 1 the comparison is the classical projective identity; for
+    d = 1, nu^1 X = X and mu' X = det X; for d = 0 both sides are one."""
     if n < 1 or d < 0:
         raise ShapeError("need n >= 1 and d >= 0")
     rng = seeded_rng("naive", seed, n, d)

@@ -99,6 +99,15 @@ class TestVerify:
         assert result.exit_code == 0
         assert json.loads(result.output)["verdict"] == "unequal"
 
+    @pytest.mark.parametrize("n,d", [(2, 0), (2, 1), (3, 1)])
+    def test_naive_low_degree_expected_equal(self, runner, n, d):
+        # nu^1 X = X, so mu' X = det X; at d = 0 both sides are one.  These
+        # used to expect "unequal" (exit 1), and (2,0) was a shape error
+        result = runner.invoke(cli, ["verify", "naive", "--n", str(n), "--d", str(d)])
+        doc = json.loads(result.output)
+        assert doc["verdict"] == doc["expected"] == "equal"
+        assert result.exit_code == 0
+
     def test_dual_reports_sign(self, runner, worked_file):
         result = runner.invoke(cli, ["verify", "dual", "--input", worked_file])
         doc = json.loads(result.output)

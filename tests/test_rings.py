@@ -79,11 +79,40 @@ class TestBasics:
         assert (x * y).total_degree() == 65535
         with pytest.raises(ExponentOverflowError):
             x * x
+        assert (y ** 2).total_degree() == 65534
+        with pytest.raises(ExponentOverflowError):
+            RingElement(XY, y) ** 3
 
     def test_neg_and_pow(self):
         assert -F7.element(3) == F7.element(4)
         assert P("x + 1") ** 2 == P("x^2 + 2*x + 1")
         assert P("x") ** 0 == XY.one_elem
+
+
+class TestRingEquality:
+    def test_equal_prime_fields_hash_alike(self):
+        assert PrimeField(7) == PrimeField(7)
+        assert hash(PrimeField(7)) == hash(PrimeField(7))
+        assert len({PrimeField(7), PrimeField(7), ZZ}) == 2
+
+    def test_distinct_rings(self):
+        assert PrimeField(7) != PrimeField(11)
+        assert ZZ != PrimeField(7)
+        assert PrimeField(7) != ZZ
+        assert PolynomialRing(["x", "y"]) != PolynomialRing(["y", "x"])
+        assert XY == PolynomialRing(["x", "y"])
+        assert ZZ != "int"
+
+    def test_mixing_rings_raises(self):
+        yx = PolynomialRing(["y", "x"])
+        with pytest.raises(RingMismatchError):
+            P("x") + yx.element("x")
+        with pytest.raises(RingMismatchError):
+            F7.element(1) - PrimeField(11).element(1)
+        with pytest.raises(RingMismatchError):
+            ZZ.coerce(F7.element(3))
+        with pytest.raises(RingMismatchError):
+            yx.coerce(P("x"))
 
 
 class TestExactDivision:
@@ -203,6 +232,19 @@ def test_mod_axioms(x, y, z):
     a, b, c = F7.element(x), F7.element(y), F7.element(z)
     assert a * (b + c) == a * b + a * c
     assert (a - b) + b == a
+
+
+POWER_RINGS = (ZZ, F7, PrimeField(1_000_003), XY)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(POWER_RINGS), st.randoms(use_true_random=False), st.integers(0, 6))
+def test_power_is_repeated_product(ring, rng, e):
+    a = RingElement(ring, ring.random_entry(rng))
+    product = ring.one_elem
+    for _ in range(e):
+        product = product * a
+    assert a ** e == product
 
 
 def test_sampled_axioms_over_all_rings():

@@ -174,6 +174,11 @@ class TestMinorProduct:
         X = random_matrix(ZZ, 2, 3, seeded_rng("muprime0"))
         assert mu_prime(X) == 1
 
+    def test_fewer_rows_than_n_is_empty_product(self):
+        # m < n used to be a shape error
+        X = random_matrix(ZZ, 1, 3, seeded_rng("muprime1"))
+        assert mu_prime(X) == 1
+
 
 class TestEta:
     def test_worked_example(self):
