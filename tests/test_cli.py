@@ -8,6 +8,7 @@ from mvvand.matrix import ExactMatrix
 from mvvand.rings import ZZ
 
 WORKED_DOC = {"ring": "int", "rows": [["1", "0"], ["0", "1"], ["1", "1"]]}
+SQUARE_DOC = {"ring": "int", "rows": [["2", "1"], ["1", "3"]]}
 COLLINEAR_DOC = {
     "ring": "int",
     "rows": [["1", "0", "0"], ["0", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]],
@@ -23,6 +24,13 @@ def runner():
 def worked_file(tmp_path):
     path = tmp_path / "worked.json"
     path.write_text(json.dumps(WORKED_DOC))
+    return str(path)
+
+
+@pytest.fixture
+def square_file(tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(SQUARE_DOC))
     return str(path)
 
 
@@ -121,6 +129,54 @@ class TestVerify:
                 ["verify", identity, "--n", "2", "--d", "2", "--seed", "5"],
             )
             assert result.exit_code == 0, (identity, result.output)
+
+    @pytest.mark.parametrize(
+        "args,expect",
+        [
+            pytest.param(
+                ["verify", "hdv", "--input", "{worked}"],
+                {"identity": "hdv", "n": 1, "d": 2, "ring": "int", "lhs": "-1", "rhs": "-1",
+                 "verdict": "equal", "expected": "equal"},
+                id="hdv",
+            ),
+            pytest.param(
+                ["verify", "dual", "--input", "{worked}"],
+                {"identity": "dual", "n": 1, "d": 2, "ring": "int", "lhs": "-1", "rhs": "-1",
+                 "verdict": "equal-up-to-sign", "expected": "equal-up-to-sign", "sign": 1},
+                id="dual",
+            ),
+            pytest.param(
+                ["verify", "lemma", "--input", "{worked}"],
+                {"identity": "lemma", "n": 1, "d": 2, "ring": "int", "lhs": "-8", "rhs": "-8",
+                 "verdict": "equal", "expected": "equal", "alpha": "2", "src": 0, "dst": 1},
+                id="lemma",
+            ),
+            pytest.param(
+                ["verify", "abstract", "--input", "{worked}"],
+                {"identity": "abstract", "n": 1, "d": 2, "ring": "int", "lhs": "-1", "rhs": "1",
+                 "verdict": "equal-up-to-sign", "expected": "equal-up-to-sign", "sign": -1,
+                 "diagonal": True},
+                id="abstract",
+            ),
+            pytest.param(
+                ["verify", "sym", "--input", "{square}", "--d", "2"],
+                {"identity": "sym", "n": 2, "d": 2, "ring": "int", "lhs": "125", "rhs": "125",
+                 "verdict": "equal", "expected": "equal"},
+                id="sym",
+            ),
+            pytest.param(
+                ["verify", "naive", "--n", "2", "--d", "1"],
+                {"identity": "naive", "n": 2, "d": 1, "ring": "int", "lhs": "-96", "rhs": "-96",
+                 "verdict": "equal", "expected": "equal", "seed": 0},
+                id="naive",
+            ),
+        ],
+    )
+    def test_full_document(self, runner, worked_file, square_file, args, expect):
+        args = [a.format(worked=worked_file, square=square_file) for a in args]
+        result = runner.invoke(cli, args)
+        assert json.loads(result.output) == expect
+        assert result.exit_code == 0
 
     def test_symbolic_cap(self, runner):
         result = runner.invoke(
@@ -252,6 +308,27 @@ class TestErrors:
         proc = run_main([a.format(worked=worked_file) for a in args])
         assert proc.returncode == 2
         assert error in proc.stderr and option in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # each used to be ignored: the report took its shape from the
+            # file, or naive built its own matrix
+            pytest.param(["verify", "hdv", "--input", "{worked}", "--n", "3", "--d", "3"], id="hdv-n-d"),
+            pytest.param(["verify", "hdv", "--input", "{worked}", "--n", "1"], id="hdv-n"),
+            pytest.param(["verify", "dual", "--input", "{worked}", "--d", "2"], id="dual-d"),
+            pytest.param(["verify", "lemma", "--input", "{worked}", "--d", "3"], id="lemma-d"),
+            pytest.param(["verify", "abstract", "--input", "{worked}", "--n", "1"], id="abstract-n"),
+            # for sym, --d is the power and --n is the only shape flag
+            pytest.param(["verify", "sym", "--input", "{square}", "--n", "2", "--d", "2"], id="sym-n"),
+            pytest.param(["verify", "naive", "--input", "{worked}", "--n", "2", "--d", "2"], id="naive-input"),
+        ],
+    )
+    def test_shape_flag_with_input_is_shape_error(self, worked_file, square_file, args):
+        proc = run_main([a.format(worked=worked_file, square=square_file) for a in args])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:shape-error:")
+        assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "args",

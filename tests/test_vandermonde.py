@@ -3,7 +3,8 @@ from math import comb, prod
 
 import pytest
 
-from mvvand.errors import ShapeError
+from mvvand import vandermonde
+from mvvand.errors import BadIndexError, ShapeError
 from mvvand.matrix import ExactMatrix, random_matrix, seeded_rng
 from mvvand.rings import PolynomialRing, PrimeField, RingElement, ZZ
 from mvvand.vandermonde import (
@@ -400,6 +401,22 @@ class TestColumnLemma:
         doc = verify_column_lemma(WORKED, 3, 0, 1).to_doc()
         assert doc["alpha"] == "3" and (doc["src"], doc["dst"]) == (0, 1)
 
+    @pytest.mark.parametrize("src,dst", [(5, 0), (0, 5), (-1, 0)])
+    def test_bad_column_runs_no_determinant(self, src, dst, monkeypatch):
+        # an out-of-range column used to cost a full base check first
+        X = random_matrix(ZZ, 7, 5, seeded_rng("lemma-bad"))
+        calls = []
+        det = ExactMatrix.det
+
+        def counting_det(M, *args):
+            calls.append(M.nrows)
+            return det(M, *args)
+
+        monkeypatch.setattr(ExactMatrix, "det", counting_det)
+        with pytest.raises(BadIndexError):
+            verify_column_lemma(X, 2, src, dst)
+        assert calls == []
+
 
 class TestVerifySymPower:
     def test_diagonal_example(self):
@@ -418,11 +435,14 @@ class TestVerifySymPower:
 class TestNaiveComparison:
     def test_fails_in_dimension_two(self):
         report = demo_naive_failure(2, 2, seed=0)
-        assert report.verdict == "unequal"
+        assert report.verdict == report.expected == "unequal"
+        assert report.ok
 
     def test_degenerates_to_projective_line(self):
         for d in (1, 2, 3):
-            assert demo_naive_failure(1, d, seed=0).verdict == "equal"
+            report = demo_naive_failure(1, d, seed=0)
+            assert report.verdict == report.expected == "equal"
+            assert report.ok
 
     def test_repeated_row_not_a_counterexample(self):
         rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 2, 3], [0, 1, 0], [0, 0, 1]]
@@ -442,6 +462,40 @@ class TestNaiveComparison:
             for rows in combinations(range(6), 3)
         ]
         assert sum(minor_degrees) == 60
+
+
+class TestComparisonRule:
+    @pytest.mark.parametrize(
+        "verify",
+        [
+            pytest.param(verify_hdv, id="hdv"),
+            pytest.param(verify_dual, id="dual"),
+            pytest.param(lambda X: verify_column_lemma(X, 2, 0, 1), id="lemma"),
+            pytest.param(verify_pairing, id="abstract"),
+        ],
+    )
+    def test_wrong_minor_product_is_unequal(self, verify, monkeypatch):
+        mu_prime_true = vandermonde.mu_prime
+        monkeypatch.setattr(vandermonde, "mu_prime", lambda X: mu_prime_true(X) + 1)
+        report = verify(WORKED)
+        assert report.verdict == "unequal"
+        assert not report.ok
+
+    def test_nonzero_off_diagonal_is_unequal(self, monkeypatch):
+        pairing_true = vandermonde.pairing_matrix
+
+        def skewed(X):
+            rows = [list(r) for r in pairing_true(X).rows_raw()]
+            rows[0][1] = X.ring.one
+            return ExactMatrix(X.ring, rows)
+
+        monkeypatch.setattr(vandermonde, "pairing_matrix", skewed)
+        report = verify_pairing(WORKED)
+        # the triangular change keeps det, so only the side condition fails
+        assert report.lhs == -report.rhs
+        assert report.verdict == "unequal" and report.sign is None
+        assert report.detail == {"diagonal": False}
+        assert not report.ok
 
 
 class TestSymbolicCompleteness:
