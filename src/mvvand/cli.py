@@ -12,6 +12,7 @@ import sys
 from math import comb
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .errors import BadRingError, MvvandError, ShapeError, SymbolicCapError
@@ -161,26 +162,46 @@ def verify(
             raise ShapeError("verify naive builds its own matrix from --n and --d; drop --input")
         if n is None or d is None:
             raise ShapeError("verify naive needs --n and --d")
-        report = demo_naive_failure(n, d, seed)
     else:
         X = _matrix_for_verify(
             identity, input_, n, d, ring, modulus, seed, symbolic, symbolic_cap
         )
-        if identity == "hdv":
-            report = verify_hdv(X)
-        elif identity == "dual":
-            report = verify_dual(X)
-        elif identity == "lemma":
-            report = verify_column_lemma(X, alpha, src_col, dst_col)
-        elif identity == "sym":
-            if d is None:
-                raise ShapeError("verify sym needs --d")
-            report = verify_sym_power(X, d)
-        else:  # abstract
-            report = verify_pairing(X)
+        if identity == "sym" and d is None:
+            raise ShapeError("verify sym needs --d")
+    _reject_unused_options(identity, input_, symbolic)
+
+    if identity == "naive":
+        report = demo_naive_failure(n, d, seed)
+    elif identity == "hdv":
+        report = verify_hdv(X)
+    elif identity == "dual":
+        report = verify_dual(X)
+    elif identity == "lemma":
+        report = verify_column_lemma(X, alpha, src_col, dst_col)
+    elif identity == "sym":
+        report = verify_sym_power(X, d)
+    else:  # abstract
+        report = verify_pairing(X)
 
     _emit(report.to_doc(), output)
     sys.exit(0 if report.ok else 1)
+
+
+def _reject_unused_options(identity, input_, symbolic):
+    """Raise a shape error for an option given on the command line that this
+    run would ignore; an option left at its default is not given."""
+    unused = {}
+    if input_ is not None or symbolic:
+        unused["seed"] = "--seed applies only to generated numeric matrices"
+    if not symbolic:
+        unused["symbolic_cap"] = "--symbolic-cap applies only with --symbolic"
+    if identity != "lemma":
+        for name in ("alpha", "src_col", "dst_col"):
+            unused[name] = f"--{name.replace('_', '-')} applies only to verify lemma"
+    ctx = click.get_current_context()
+    for name, message in unused.items():
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            raise ShapeError(f"{message}; drop it")
 
 
 def _matrix_for_verify(identity, input_, n, d, ring, modulus, seed, symbolic, cap):

@@ -59,6 +59,16 @@ def _decode(nvars: int, key: int) -> tuple:
     return tuple(exps)
 
 
+def _monomial_text(names: Sequence[str], key: int) -> str:
+    """Text of the monomial whose exponent fields over ``names`` are packed in
+    ``key`` without a degree field, e.g. "x^2*y"; "" for the monomial 1."""
+    return "*".join(
+        v if e == 1 else f"{v}^{e}"
+        for v, e in zip(names, _decode(len(names), key))
+        if e
+    )
+
+
 class Polynomial:
     """Sparse multivariate polynomial with integer coefficients.
 
@@ -117,12 +127,6 @@ class Polynomial:
         """Total degree; 0 for the zero polynomial.  The degree field sits
         above the exponent fields, so the largest key has the largest degree."""
         return max(self.terms, default=0) >> (_EXP_BITS * self.nvars)
-
-    def items_exponents(self):
-        """Iterate (exponent-tuple, coefficient) in descending lex order."""
-        lexmask = (1 << (_EXP_BITS * self.nvars)) - 1
-        for k in sorted(self.terms, key=lambda k: k & lexmask, reverse=True):
-            yield _decode(self.nvars, k), self.terms[k]
 
     def __eq__(self, other) -> bool:
         return (
@@ -499,29 +503,41 @@ class PolynomialRing(Ring):
     # -- canonical text -----------------------------------------------------
 
     def format(self, p: Polynomial) -> str:
-        """Canonical text: terms in descending lex order, e.g. "x0^2 - 2*x0*x1"."""
+        """Canonical text: terms in descending lex order, e.g. "x0^2 - 2*x0*x1".
+
+        Each key's exponent fields split into a high and a low half; the text
+        of each half is built once per distinct value and shared by every
+        term that repeats it.
+        """
         if p.is_zero():
             return "0"
+        terms = p.terms
+        nlow = self.nvars // 2
+        low_bits = _EXP_BITS * nlow
+        lexmask = (1 << (_EXP_BITS * self.nvars)) - 1
+        low_mask = (1 << low_bits) - 1
+        high_mask = lexmask ^ low_mask
+        high_names = self.variables[: self.nvars - nlow]
+        low_names = self.variables[self.nvars - nlow:]
+        keys = sorted(terms, key=lexmask.__and__, reverse=True)
+        high = {h: _monomial_text(high_names, h >> low_bits) for h in {k & high_mask for k in keys}}
+        low = {lo: _monomial_text(low_names, lo) for lo in {k & low_mask for k in keys}}
         chunks = []
-        for exps, c in p.items_exponents():
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.variables, exps)
-                if e
-            )
-            mag = abs(c)
+        for k in keys:
+            c = terms[k]
+            h, lo = high[k & high_mask], low[k & low_mask]
+            mono = f"{h}*{lo}" if h and lo else h or lo
+            mag = -c if c < 0 else c
             if not mono:
                 body = str(mag)
             elif mag == 1:
                 body = mono
             else:
                 body = f"{mag}*{mono}"
-            chunks.append(("-" if c < 0 else "+", body))
-        sign, body = chunks[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+            chunks.append((" - " if c < 0 else " + ") + body)
+        out = "".join(chunks)
+        # the leading term carries its sign without spaces, "+" not at all
+        return out[3:] if out[1] == "+" else "-" + out[3:]
 
     _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*^])|(\S)")
 

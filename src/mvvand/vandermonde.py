@@ -106,7 +106,12 @@ def mu_matrix(X: ExactMatrix) -> ExactMatrix:
 
 
 def mu_prime(X: ExactMatrix) -> RingElement:
-    """Product of all order-(n+1) minors of X; empty product is one."""
+    """Product of all order-(n+1) minors of X; empty product is one.
+
+    The minors are multiplied in colex order of the rows taken, so each
+    partial product is mu' of the leading rows of X: over Z[x] it never
+    outgrows that sub-problem's answer, as lex-order partial products do.
+    """
     n = X.ncols - 1
     m = X.nrows
     if n < 1:
@@ -115,7 +120,7 @@ def mu_prime(X: ExactMatrix) -> RingElement:
     minor = _minor_table(X)
     acc = ring.one
     cols = tuple(range(n + 1))
-    for taken in combinations(range(m), n + 1):
+    for taken in sorted(combinations(range(m), n + 1), key=lambda t: t[::-1]):
         acc = ring.mul(acc, minor(taken, cols))
     return RingElement(ring, acc)
 

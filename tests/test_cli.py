@@ -193,6 +193,19 @@ class TestVerify:
         )
         assert result.exit_code == 0
 
+    def test_symbolic_output_bytes(self):
+        # formal (1,6): both sides have 5,040 terms in 14 variables
+        import hashlib, subprocess, sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvvand.cli", "verify", "hdv", "--n", "1", "--d", "6", "--symbolic"],
+            capture_output=True,
+        )
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "7ed3ac2d5a5e7068f970bca7d49f1531a5017a63bcf80213e2cb7dfe3fa5a669"
+        )
+
     def test_deterministic_output(self, runner):
         args = ["verify", "hdv", "--n", "2", "--d", "2", "--seed", "9"]
         first = runner.invoke(cli, args).output
@@ -326,6 +339,26 @@ class TestErrors:
     )
     def test_shape_flag_with_input_is_shape_error(self, worked_file, square_file, args):
         proc = run_main([a.format(worked=worked_file, square=square_file) for a in args])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:shape-error:")
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # each used to be ignored: the run read no seed, column or cap
+            pytest.param(["verify", "hdv", "--input", "{worked}", "--seed", "5"], id="input-seed"),
+            pytest.param(["verify", "hdv", "--n", "1", "--d", "1", "--symbolic", "--seed", "0"], id="symbolic-seed"),
+            pytest.param(["verify", "dual", "--input", "{worked}", "--alpha", "7"], id="dual-alpha"),
+            pytest.param(["verify", "hdv", "--n", "1", "--d", "1", "--src-col", "1"], id="hdv-src-col"),
+            pytest.param(["verify", "abstract", "--input", "{worked}", "--dst-col", "0"], id="abstract-dst-col"),
+            pytest.param(["verify", "naive", "--n", "2", "--d", "2", "--alpha", "3"], id="naive-alpha"),
+            pytest.param(["verify", "hdv", "--n", "1", "--d", "1", "--symbolic-cap", "1"], id="cap-numeric"),
+            pytest.param(["verify", "lemma", "--input", "{worked}", "--symbolic-cap", "50"], id="cap-input"),
+        ],
+    )
+    def test_unused_option_is_shape_error(self, worked_file, args):
+        proc = run_main([a.format(worked=worked_file) for a in args])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:shape-error:")
         assert len(proc.stderr.splitlines()) == 1

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvvand.errors import (
     BadRingError,
@@ -18,8 +18,9 @@ from mvvand.rings import (
     is_prime,
     ring_from_doc,
 )
+from mvvand.vandermonde import mu_prime, symbolic_matrix
 
-from oracles import poly_eval
+from oracles import format_polynomial, poly_eval
 
 XY = PolynomialRing(["x", "y"])
 F7 = PrimeField(7)
@@ -211,6 +212,41 @@ polys = st.lists(st.tuples(exps, coeffs), max_size=8).map(
 @given(polys)
 def test_text_roundtrip(p):
     assert XY.parse(XY.format(p)) == p
+
+
+@st.composite
+def ring_polys(draw):
+    """A ring of 1 to 17 variables and a polynomial over it: small exponents,
+    so that terms share halves of their keys, now and then a large one, the
+    constant term, and coefficients +-1, small, or past 2**64."""
+    nvars = draw(st.integers(min_value=1, max_value=17))
+    ring = PolynomialRing([f"x{i}" for i in range(nvars)])
+    exponent = st.integers(0, 2) | st.integers(3, 1000)
+    monomial = st.just((0,) * nvars) | st.tuples(*[exponent] * nvars)
+    big = st.integers(2**64, 2**70)
+    coeff = st.sampled_from([1, -1]) | st.integers(-99, 99) | big | big.map(int.__neg__)
+    items = draw(st.lists(st.tuples(monomial, coeff), max_size=12))
+    return ring, Polynomial.from_terms(nvars, items)
+
+
+@settings(deadline=None, max_examples=300)
+@given(ring_polys())
+@example((PolynomialRing(["x"]), Polynomial.zero(1)))
+@example((PolynomialRing(["x", "y", "z"]), Polynomial.constant(3, -(2**65))))
+def test_format_matches_term_by_term_oracle(ring_poly):
+    ring, p = ring_poly
+    text = ring.format(p)
+    assert text == format_polynomial(ring, p)
+    assert ring.parse(text) == p
+
+
+def test_format_of_formal_minor_product_matches_oracle():
+    # formal (1,7): 16 variables, 40,320 terms whose key halves repeat
+    p = mu_prime(symbolic_matrix(8, 2))
+    assert len(p.value.terms) == 40320
+    # a bool, so that a failure does not diff two 3.9 MB strings
+    same = p.ring.format(p.value) == format_polynomial(p.ring, p.value)
+    assert same
 
 
 @settings(deadline=None, max_examples=100)

@@ -6,7 +6,7 @@ import pytest
 from mvvand import vandermonde
 from mvvand.errors import BadIndexError, ShapeError
 from mvvand.matrix import ExactMatrix, random_matrix, seeded_rng
-from mvvand.rings import PolynomialRing, PrimeField, RingElement, ZZ
+from mvvand.rings import Polynomial, PolynomialRing, PrimeField, RingElement, ZZ
 from mvvand.vandermonde import (
     demo_naive_failure,
     eta_matrix,
@@ -24,7 +24,7 @@ from mvvand.vandermonde import (
     veronese_matrix,
 )
 
-from oracles import matmul
+from oracles import matmul, minor_product_lex
 
 WORKED = ExactMatrix.from_rows(ZZ, [[1, 0], [0, 1], [1, 1]])
 
@@ -179,6 +179,29 @@ class TestMinorProduct:
         # m < n used to be a shape error
         X = random_matrix(ZZ, 1, 3, seeded_rng("muprime1"))
         assert mu_prime(X) == 1
+
+    @pytest.mark.parametrize(
+        "ring", [ZZ, PrimeField(7), PolynomialRing(["x", "y", "z"])], ids=["ZZ", "F7", "ZZ[x,y,z]"]
+    )
+    @pytest.mark.parametrize("m,ncols", [(2, 2), (6, 2), (5, 3), (5, 4)])
+    def test_matches_lex_order_product(self, ring, m, ncols):
+        X = random_matrix(ring, m, ncols, seeded_rng("muprime-lex", ring.describe(), m, ncols))
+        assert mu_prime(X) == minor_product_lex(X)
+
+    def test_colex_order_term_products(self, monkeypatch):
+        # every partial product is mu' of the leading rows; multiplying the
+        # 21 minors of formal (1,6) in lex order makes 74,452 term products
+        products = 0
+        mul = Polynomial.__mul__
+
+        def counted(a, b):
+            nonlocal products
+            products += len(a.terms) * len(b.terms)
+            return mul(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        mu_prime(symbolic_matrix(7, 2))
+        assert products == 49068
 
 
 class TestEta:
