@@ -144,7 +144,7 @@ class ExactMatrix:
         if algorithm == "auto":
             algorithm = _AUTO_DET[ring.name]
         if algorithm == "field":
-            return RingElement(ring, _det_field(ring.p, list(self._rows)))
+            return RingElement(ring, _det_field(ring.modulus, list(self._rows)))
         if algorithm == "cofactor":
             return RingElement(ring, _det_cofactor(ring, self._rows))
         if algorithm == "bareiss":
@@ -254,6 +254,12 @@ def _det_cofactor(ring, rows):
 def _laplace_minor(ring, rows, shift, memo, R, C, key):
     """Minor on rows R and columns C (order >= 1, packed ``key``) by Laplace
     expansion along row R[-1]; the sub-minors come from and go to ``memo``.
+
+    The expansion runs on raw values with Python's operators.  Over Z/p each
+    minor it returns, and so each one it memoises, is reduced once: entries
+    and sub-minors lie in [0, p), so an order-k sum stays below k*p^2 and
+    nothing is lost by reducing it only at the end.
+
     A module function, not a closure: a recursive closure would tie the memo
     into a reference cycle that outlives its table until the cyclic
     collector runs."""
@@ -261,7 +267,6 @@ def _laplace_minor(ring, rows, shift, memo, R, C, key):
     k = len(R)
     if k == 1:
         return row[C[0]]
-    add, sub, mul = ring.add, ring.sub, ring.mul
     head = R[:-1]
     key ^= 1 << (R[-1] + shift)
     acc = None
@@ -272,15 +277,18 @@ def _laplace_minor(ring, rows, shift, memo, R, C, key):
             m = memo[sub_key] = _laplace_minor(
                 ring, rows, shift, memo, head, C[:t] + C[t + 1:], sub_key
             )
-        term = mul(row[j], m)
+        term = row[j] * m
         if acc is None:
             acc = term
         elif t % 2:
-            acc = sub(acc, term)
+            acc = acc - term
         else:
-            acc = add(acc, term)
+            acc = acc + term
     # expansion along row k-1 alternates signs with column position
-    return acc if k % 2 else ring.neg(acc)
+    if not k % 2:
+        acc = -acc
+    p = ring.modulus
+    return acc % p if p else acc
 
 
 def _det_bareiss(ring, rows):

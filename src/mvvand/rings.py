@@ -294,6 +294,8 @@ class Ring:
     :meth:`describe` strings are."""
 
     name = "?"
+    # p for Z/p, 0 for Z and Z[x]: the number callers reduce raw results by
+    modulus = 0
 
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
@@ -383,56 +385,56 @@ class PrimeField(Ring):
     def __init__(self, p: int = DEFAULT_PRIME):
         if p < 2 or not is_prime(p):
             raise BadRingError(f"modulus {p} is not prime")
-        self.p = p
+        self.modulus = p
         self.zero = 0
         self.one = 1 % p
 
     def add(self, a, b):
-        return (a + b) % self.p
+        return (a + b) % self.modulus
 
     def sub(self, a, b):
-        return (a - b) % self.p
+        return (a - b) % self.modulus
 
     def mul(self, a, b):
-        return a * b % self.p
+        return a * b % self.modulus
 
     def neg(self, a):
-        return -a % self.p
+        return -a % self.modulus
 
     def pow(self, a, e):
-        return pow(a, e, self.p)
+        return pow(a, e, self.modulus)
 
     def exact_div(self, a, b):
-        if b % self.p == 0:
+        if b % self.modulus == 0:
             raise ZeroDivisionError("division by zero in Z/p")
-        return a * pow(b, -1, self.p) % self.p
+        return a * pow(b, -1, self.modulus) % self.modulus
 
     def is_zero(self, a) -> bool:
-        return a % self.p == 0
+        return a % self.modulus == 0
 
     def from_int(self, k: int):
-        return k % self.p
+        return k % self.modulus
 
     def parse(self, text: str):
         try:
-            return int(text) % self.p
+            return int(text) % self.modulus
         except ValueError:
             raise ParseError(f"not an integer: {text!r}") from None
 
     def format(self, a) -> str:
-        return str(a % self.p)
+        return str(a % self.modulus)
 
     def random_entry(self, rng):
-        return rng.randrange(self.p)
+        return rng.randrange(self.modulus)
 
     def describe(self) -> str:
-        return f"mod_p({self.p})"
+        return f"mod_p({self.modulus})"
 
     def to_doc(self) -> dict:
-        return {"ring": "mod_p", "modulus": str(self.p)}
+        return {"ring": "mod_p", "modulus": str(self.modulus)}
 
     def __repr__(self):
-        return f"PrimeField({self.p})"
+        return f"PrimeField({self.modulus})"
 
 
 class PolynomialRing(Ring):

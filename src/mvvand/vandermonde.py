@@ -63,11 +63,14 @@ def _shape_nd(X: ExactMatrix) -> tuple:
 
 
 def _monomial_value(ring, row, exps):
+    """Value of one monomial at a row, on raw values; over Z/p the product
+    (below p^d) is reduced once."""
     acc = ring.one
     for x, e in zip(row, exps):
         if e:
-            acc = ring.mul(acc, ring.pow(x, e))
-    return acc
+            acc = acc * x ** e
+    p = ring.modulus
+    return acc % p if p else acc
 
 
 def veronese_matrix(X: ExactMatrix, d: int) -> ExactMatrix:
@@ -117,32 +120,52 @@ def mu_prime(X: ExactMatrix) -> RingElement:
     if n < 1:
         raise ShapeError(f"minor product undefined for shape {m}x{n + 1}")
     ring = X.ring
+    p = ring.modulus
     minor = _minor_table(X)
     acc = ring.one
     cols = tuple(range(n + 1))
     for taken in sorted(combinations(range(m), n + 1), key=lambda t: t[::-1]):
-        acc = ring.mul(acc, minor(taken, cols))
+        acc = acc * minor(taken, cols)
+        if p:
+            acc %= p
     return RingElement(ring, acc)
 
 
-def _expand_linear_forms(ring, forms, nvars):
-    """Expand a product of linear forms sum_k c_k Y_k into a map from
-    exponent tuples to (raw) coefficients."""
-    acc = {(0,) * nvars: ring.one}
+def _packed_basis(basis):
+    """Weights and keys that pack exponent vectors of total degree d into
+    ints in base d + 1, the first variable most significant: a monomial
+    product's key is the sum of the keys, and ``keys`` are the basis's."""
+    base = sum(basis[0]) + 1
+    nvars = len(basis[0])
+    weights = [base ** (nvars - 1 - k) for k in range(nvars)]
+    keys = [sum(e * w for e, w in zip(exps, weights)) for exps in basis]
+    return weights, keys
+
+
+def _expand_linear_forms(ring, forms, weights, keys):
+    """Coefficients, on the basis whose packed keys are ``keys``, of the
+    product of the linear forms sum_k c_k Y_k, where Y_k has key
+    ``weights[k]`` (see :func:`_packed_basis`).
+
+    The expansion multiplies in one form at a time on raw values with
+    Python's operators; over Z/p every coefficient is reduced once per form
+    (a coefficient below p times one below p, summed over at most
+    len(weights) terms).  Each form's zero coefficients are skipped once."""
+    p = ring.modulus
+    acc = {0: ring.one}
     for f in forms:
+        nonzero = [(w, c) for w, c in zip(weights, f) if not ring.is_zero(c)]
         new = {}
-        for exps, c in acc.items():
-            for k, ck in enumerate(f):
-                if ring.is_zero(ck):
-                    continue
-                e2 = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
-                v = ring.mul(c, ck)
-                if e2 in new:
-                    new[e2] = ring.add(new[e2], v)
+        for key, a in acc.items():
+            for w, c in nonzero:
+                k = key + w
+                if k in new:
+                    new[k] = new[k] + a * c
                 else:
-                    new[e2] = v
-        acc = new
-    return acc
+                    new[k] = a * c
+        acc = {k: v % p for k, v in new.items()} if p else new
+    zero = ring.zero
+    return [acc.get(k, zero) for k in keys]
 
 
 def eta_matrix(X: ExactMatrix) -> ExactMatrix:
@@ -150,12 +173,12 @@ def eta_matrix(X: ExactMatrix) -> ExactMatrix:
     rows of X read as linear forms; row choices ordered lex on rows taken."""
     n, d = _shape_nd(X)
     ring = X.ring
-    basis = monomial_basis(n, d)
+    weights, keys = _packed_basis(monomial_basis(n, d))
     raw = X.rows_raw()
-    rows = []
-    for taken in combinations(range(n + d), d):
-        coeffs = _expand_linear_forms(ring, [raw[i] for i in taken], n + 1)
-        rows.append([coeffs.get(exps, ring.zero) for exps in basis])
+    rows = [
+        _expand_linear_forms(ring, [raw[i] for i in taken], weights, keys)
+        for taken in combinations(range(n + d), d)
+    ]
     return ExactMatrix(ring, rows)
 
 
@@ -170,18 +193,17 @@ def sym_power_matrix(u: ExactMatrix, d: int) -> ExactMatrix:
         raise ShapeError("degree must be nonnegative")
     m = u.nrows
     ring = u.ring
-    raw = u.rows_raw()
     basis = _exponents(m, d)
-    columns = []
-    for exps in basis:
-        forms = []
-        for k, e in enumerate(exps):
-            col = [raw[i][k] for i in range(m)]
-            forms.extend([col] * e)
-        coeffs = _expand_linear_forms(ring, forms, m)
-        columns.append([coeffs.get(e2, ring.zero) for e2 in basis])
-    rows = [[columns[j][i] for j in range(len(basis))] for i in range(len(basis))]
-    return ExactMatrix(ring, rows)
+    weights, keys = _packed_basis(basis)
+    # column k of u is the image of the k-th variable, as a linear form
+    cols = list(zip(*u.rows_raw()))
+    columns = [
+        _expand_linear_forms(
+            ring, [cols[k] for k, e in enumerate(exps) for _ in range(e)], weights, keys
+        )
+        for exps in basis
+    ]
+    return ExactMatrix(ring, list(zip(*columns)))
 
 
 def pairing_matrix(X: ExactMatrix) -> ExactMatrix:
@@ -252,12 +274,18 @@ class VerificationReport:
         return doc
 
 
-def _report(identity, n, d, lhs, rhs, expected, holds=True, **extra) -> VerificationReport:
+def _report(
+    identity, n, d, lhs, rhs, expected, holds=True, predicted_sign=None, **extra
+) -> VerificationReport:
     """The one comparison rule.  The sides are compared only when the side
     condition ``holds``; otherwise the verdict is "unequal".  When the identity
     predicts "equal-up-to-sign" they are compared up to sign, and the sign is
-    reported when visible (not when both sides vanish); otherwise exactly."""
+    reported when visible (not when both sides vanish); otherwise exactly.
+    A ``predicted_sign`` pins the sign: unless lhs equals it times rhs the
+    verdict is "unequal", so a sign fault cannot pass as the other sign."""
     up_to_sign = expected == "equal-up-to-sign"
+    if predicted_sign is not None:
+        holds = holds and lhs == rhs * predicted_sign
     if holds and lhs == rhs:
         verdict = "equal-up-to-sign" if up_to_sign else "equal"
         sign = 1 if up_to_sign and not lhs.is_zero() else None
@@ -317,8 +345,20 @@ def verify_sym_power(u: ExactMatrix, d: int) -> VerificationReport:
     return _report("sym", m, d, lhs, u.det() ** comb(m + d - 1, m), "equal")
 
 
+def _pairing_sign(n: int, d: int) -> int:
+    """Sign of det(pairing_matrix(X)) / (mu' X)^(n+1) for X of shape (n+d)x(n+1).
+
+    The (s, s) entry is the product over j in s of the minor on the rows
+    {j} + (rows outside s); sorting row j into place takes #{i not in s :
+    i < j} transpositions.  For the t-th smallest j in s that count is
+    j - t, so row choice s contributes sum(s) - d(d-1)/2 and all C(n+d, d)
+    choices together C(n+d, d) * d * n / 2 transpositions."""
+    return -1 if comb(n + d, d) * d * n // 2 % 2 else 1
+
+
 def verify_pairing(X: ExactMatrix) -> VerificationReport:
-    """Check the pairing matrix is diagonal with det = +/- (mu' X)^(n+1)."""
+    """Check the pairing matrix is diagonal with det = sign * (mu' X)^(n+1),
+    ``sign`` from :func:`_pairing_sign`; the verdict stays "equal-up-to-sign"."""
     n, d = _shape_nd(X)
     ring = X.ring
     P = pairing_matrix(X)
@@ -337,6 +377,7 @@ def verify_pairing(X: ExactMatrix) -> VerificationReport:
         mu_prime(X) ** (n + 1),
         "equal-up-to-sign",
         holds=diagonal,
+        predicted_sign=_pairing_sign(n, d),
         detail={"diagonal": diagonal},
     )
 

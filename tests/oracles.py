@@ -87,3 +87,48 @@ def minor_product_lex(X: ExactMatrix) -> RingElement:
     for taken in combinations(range(X.nrows), X.ncols):
         acc = acc * X.minor(taken, cols)
     return acc
+
+
+def expand_linear_forms(ring, forms, nvars):
+    """Expand a product of linear forms sum_k c_k Y_k into a map from
+    exponent tuples to raw coefficients, one ring operation at a time."""
+    acc = {(0,) * nvars: ring.one}
+    for f in forms:
+        new = {}
+        for exps, c in acc.items():
+            for k, ck in enumerate(f):
+                if ring.is_zero(ck):
+                    continue
+                e2 = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
+                v = ring.mul(c, ck)
+                if e2 in new:
+                    new[e2] = ring.add(new[e2], v)
+                else:
+                    new[e2] = v
+        acc = new
+    return acc
+
+
+def eta_matrix_by_tuples(X: ExactMatrix, basis) -> ExactMatrix:
+    """Dual matrix of X on ``basis``: one tuple-keyed expansion per choice of
+    rows, in lex order of the rows taken."""
+    ring, raw = X.ring, X.rows_raw()
+    d = sum(basis[0])
+    rows = []
+    for taken in combinations(range(X.nrows), d):
+        coeffs = expand_linear_forms(ring, [raw[i] for i in taken], X.ncols)
+        rows.append([coeffs.get(exps, ring.zero) for exps in basis])
+    return ExactMatrix(ring, rows)
+
+
+def sym_power_by_tuples(u: ExactMatrix, basis) -> ExactMatrix:
+    """Symmetric power of u on ``basis``: column e holds the tuple-keyed
+    expansion of the product of the columns of u that e counts."""
+    ring, m = u.ring, u.nrows
+    cols = [[u.rows_raw()[i][k] for i in range(m)] for k in range(m)]
+    columns = []
+    for exps in basis:
+        forms = [cols[k] for k, e in enumerate(exps) for _ in range(e)]
+        coeffs = expand_linear_forms(ring, forms, m)
+        columns.append([coeffs.get(e2, ring.zero) for e2 in basis])
+    return ExactMatrix(ring, [list(r) for r in zip(*columns)])

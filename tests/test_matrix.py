@@ -84,7 +84,7 @@ def square_mod_p(draw):
     n = draw(st.integers(0, 8))
     # small values besides uniform ones make zero pivots and singular
     # matrices common in the large field too
-    entry = st.integers(0, 2) | st.integers(0, ring.p - 1)
+    entry = st.integers(0, 2) | st.integers(0, ring.modulus - 1)
     row = st.lists(entry, min_size=n, max_size=n)
     return ExactMatrix(ring, draw(st.lists(row, min_size=n, max_size=n)))
 
@@ -128,7 +128,7 @@ def any_ring_matrix(draw):
     elif ring is ZZ:
         entry = st.integers(-3, 3)
     else:
-        entry = st.integers(0, 2) | st.integers(0, ring.p - 1)
+        entry = st.integers(0, 2) | st.integers(0, ring.modulus - 1)
     row = st.lists(entry, min_size=n, max_size=n)
     rows = draw(st.lists(row, min_size=m, max_size=m))
     if m >= 2 and draw(st.booleans()):

@@ -1,0 +1,81 @@
+"""Over Z/p the constructors compute on integer representatives and reduce
+each stored value once.  Every result must equal the same construction over
+Z on the representatives, reduced mod p afterwards."""
+from itertools import combinations
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from mvvand.genpos import PointConfiguration, in_general_position
+from mvvand.matrix import ExactMatrix
+from mvvand.rings import PrimeField, ZZ
+from mvvand.vandermonde import (
+    eta_matrix,
+    mu_matrix,
+    mu_prime,
+    sym_power_matrix,
+    veronese_matrix,
+)
+
+PRIMES = [2, 3, 1_000_003, 2**61 - 1]
+
+
+def _reduced(M: ExactMatrix, p: int) -> tuple:
+    return tuple(tuple(v % p for v in row) for row in M.rows_raw())
+
+
+@st.composite
+def representatives(draw, p):
+    """(n, d, rows of an (n+d)x(n+1) matrix, rows of an (n+1)x(n+1) matrix),
+    entries in [0, p) with 0, 1 and p - 1 drawn often."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 4 - n))
+    entry = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+
+    def rows(m):
+        return draw(st.lists(st.lists(entry, min_size=n + 1, max_size=n + 1), min_size=m, max_size=m))
+
+    return n, d, rows(n + d), rows(n + 1)
+
+
+def _all(value, n, d):
+    return n, d, [[value] * (n + 1)] * (n + d), [[value] * (n + 1)] * (n + 1)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_constructions_reduce_the_integer_ones(p):
+    F = PrimeField(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(representatives(p))
+    # all entries p - 1 give the largest intermediates before reduction
+    @example(_all(p - 1, 1, 3))
+    @example(_all(p - 1, 2, 2))
+    @example(_all(p - 1, 3, 1))
+    @example((2, 2, [[p - 1, p - 1, 1], [1, p - 1, p - 1], [p - 1, 1, p - 1], [p - 1, p - 1, p - 1]],
+              [[p - 1, 1, p - 1], [p - 1, p - 1, 1], [1, p - 1, p - 1]]))
+    def check(case):
+        n, d, rows, square = case
+        Xp, Xz = ExactMatrix(F, rows), ExactMatrix(ZZ, rows)
+        assert mu_matrix(Xp).rows_raw() == _reduced(mu_matrix(Xz), p)
+        assert mu_prime(Xp).value == mu_prime(Xz).value % p
+        assert eta_matrix(Xp).rows_raw() == _reduced(eta_matrix(Xz), p)
+        up, uz = ExactMatrix(F, square), ExactMatrix(ZZ, square)
+        for e in range(4):
+            assert veronese_matrix(Xp, e).rows_raw() == _reduced(veronese_matrix(Xz, e), p)
+            assert sym_power_matrix(up, e).rows_raw() == _reduced(sym_power_matrix(uz, e), p)
+        if d >= 1 and all(any(v % p for v in row) for row in rows):
+            verdict = in_general_position(PointConfiguration(Xp))
+            # the lex-least row subset whose integer minor vanishes mod p
+            witness = next(
+                (
+                    taken
+                    for taken in combinations(range(n + d), n + 1)
+                    if Xz.minor(taken, range(n + 1)).value % p == 0
+                ),
+                None,
+            )
+            assert verdict.in_general_position == (witness is None)
+            assert verdict.witness == witness
+
+    check()

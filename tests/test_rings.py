@@ -64,7 +64,7 @@ class TestBasics:
 
     def test_large_primes_accepted(self):
         for p in (1_000_003, 2**61 - 1):
-            assert PrimeField(p).p == p
+            assert PrimeField(p).modulus == p
 
     def test_modulus_past_primality_bound_rejected(self):
         psi13 = 3_317_044_064_679_887_385_961_981

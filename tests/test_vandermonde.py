@@ -8,6 +8,8 @@ from mvvand.errors import BadIndexError, ShapeError
 from mvvand.matrix import ExactMatrix, random_matrix, seeded_rng
 from mvvand.rings import Polynomial, PolynomialRing, PrimeField, RingElement, ZZ
 from mvvand.vandermonde import (
+    _exponents,
+    _pairing_sign,
     demo_naive_failure,
     eta_matrix,
     monomial_basis,
@@ -24,7 +26,7 @@ from mvvand.vandermonde import (
     veronese_matrix,
 )
 
-from oracles import matmul, minor_product_lex
+from oracles import eta_matrix_by_tuples, matmul, minor_product_lex, sym_power_by_tuples
 
 WORKED = ExactMatrix.from_rows(ZZ, [[1, 0], [0, 1], [1, 1]])
 
@@ -276,6 +278,56 @@ class TestSymPower:
             sym_power_matrix(ExactMatrix.from_rows(ZZ, [[1, 2, 3], [4, 5, 6]]), 2)
 
 
+XY = PolynomialRing(["x", "y"])
+
+
+def _linear_forms(ring, rows):
+    """A matrix whose entries are ints, or over Z[x, y] coefficient lists of
+    a + b*x + c*y."""
+    if ring is XY:
+        linear = ((0, 0), (1, 0), (0, 1))
+        rows = [[Polynomial.from_terms(2, zip(linear, cs)) for cs in r] for r in rows]
+        return ExactMatrix(ring, rows)
+    return ExactMatrix.from_rows(ring, rows)
+
+
+class TestLinearFormExpansion:
+    """eta_matrix and sym_power_matrix against the tuple-keyed expansion,
+    one ring operation at a time."""
+
+    RINGS = [ZZ, PrimeField(7), PrimeField(1_000_003), XY]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("n,d", [(1, 0), (2, 0), (1, 1), (1, 3), (2, 2), (3, 1), (2, 3)])
+    def test_eta_matches_oracle(self, ring, n, d):
+        X = random_matrix(ring, n + d, n + 1, seeded_rng("etaoracle", n, d))
+        assert eta_matrix(X) == eta_matrix_by_tuples(X, monomial_basis(n, d))
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("m,d", [(1, 0), (1, 3), (2, 0), (2, 3), (3, 2), (4, 1)])
+    def test_sym_power_matches_oracle(self, ring, m, d):
+        u = random_matrix(ring, m, m, seeded_rng("symoracle", m, d))
+        assert sym_power_matrix(u, d) == sym_power_by_tuples(u, _exponents(m, d))
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_zero_row_and_one_variable_forms(self, ring):
+        # row 1 is zero; rows 0 and 3 are forms in one variable
+        if ring is XY:
+            rows = [[[0, 0, 0], [2, 1, 0], [0, 0, 0]], [[0, 0, 0]] * 3,
+                    [[1, 0, 1], [3, 0, 0], [0, 1, 1]], [[0, 0, 0], [0, 0, 0], [-1, 0, 2]]]
+        else:
+            rows = [[0, 5, 0], [0, 0, 0], [4, 6, 1], [0, 0, -1]]
+        X = _linear_forms(ring, rows)
+        expect = eta_matrix_by_tuples(X, monomial_basis(2, 2))
+        assert eta_matrix(X) == expect
+        # the row choices that take the zero row give zero rows
+        zero_rows = [r for r, taken in enumerate(combinations(range(4), 2)) if 1 in taken]
+        assert all(v.is_zero() for r in zero_rows for v in expect.row(r))
+        u = _linear_forms(ring, rows[:3])
+        for d in range(4):
+            assert sym_power_matrix(u, d) == sym_power_by_tuples(u, _exponents(3, d))
+
+
 PAIRING_CASES = [(ring, n, d) for ring in (ZZ, PrimeField(7)) for n, d in ((1, 2), (2, 2), (2, 3))]
 
 
@@ -325,6 +377,25 @@ class TestPairing:
                     for j in range(P.ncols):
                         if i != j:
                             assert P.entry(i, j).is_zero()
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 4), (2, 3), (3, 2), (2, 4)])
+    def test_sign_formula_counts_transpositions(self, n, d):
+        parity = sum(
+            sum(1 for i in range(j) if i not in s)
+            for s in combinations(range(n + d), d)
+            for j in s
+        )
+        assert _pairing_sign(n, d) == (-1) ** parity
+
+    @pytest.mark.parametrize(
+        "n,d",
+        [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1)],
+    )
+    def test_predicted_sign_is_the_observed_sign(self, n, d):
+        X = random_matrix(PrimeField(1_000_003), n + d, n + 1, seeded_rng("pairsign", n, d))
+        report = verify_pairing(X)
+        assert report.ok
+        assert report.sign == _pairing_sign(n, d)
 
     def test_det_matches_minor_product_power(self):
         for n, d in ((1, 2), (2, 2)):
@@ -518,6 +589,55 @@ class TestComparisonRule:
         assert report.lhs == -report.rhs
         assert report.verdict == "unequal" and report.sign is None
         assert report.detail == {"diagonal": False}
+        assert not report.ok
+
+
+def _pairing_with_block(mutate):
+    """pairing_matrix as defined, except that the block of the first row
+    choice s and its first row j passes through ``mutate`` before its det."""
+
+    def build(X):
+        n, d = X.ncols - 1, X.nrows - X.ncols + 1
+        ring, raw = X.ring, X.rows_raw()
+        subsets = list(combinations(range(n + d), d))
+        rows = []
+        for s in subsets:
+            outside = [raw[i] for i in range(n + d) if i not in s]
+            block = []
+            for j in range(n + d):
+                rows_j = [raw[j]] + outside
+                if s == subsets[0] and j == s[0]:
+                    rows_j = mutate(rows_j)
+                block.append(ExactMatrix(ring, rows_j).det().value)
+            rows.append([prod((block[j] for j in t), start=ring.one) for t in subsets])
+        return ExactMatrix(ring, rows)
+
+    return build
+
+
+class TestPairingSignMutations:
+    """A fault that flips the sign of one pairing block flips det P; the
+    pinned sign turns it into "unequal" where up-to-sign would pass it."""
+
+    X = random_matrix(ZZ, 5, 3, seeded_rng("pairmut"))  # n = 2, d = 3
+
+    def test_unmutated_definition_passes(self, monkeypatch):
+        monkeypatch.setattr(vandermonde, "pairing_matrix", _pairing_with_block(list))
+        assert verify_pairing(self.X).ok
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            # rows outside s in decreasing order: one transposition at n = 2
+            pytest.param(lambda rows: rows[:1] + rows[:0:-1], id="unsorted-block"),
+            pytest.param(lambda rows: [rows[1], rows[0]] + rows[2:], id="row-swap"),
+        ],
+    )
+    def test_sign_fault_is_unequal(self, mutate, monkeypatch):
+        monkeypatch.setattr(vandermonde, "pairing_matrix", _pairing_with_block(mutate))
+        report = verify_pairing(self.X)
+        assert report.lhs == -report.rhs and not report.lhs.is_zero()
+        assert report.verdict == "unequal" and report.sign is None
         assert not report.ok
 
 
