@@ -2,14 +2,13 @@
 
 Three rings are supported: arbitrary-precision integers, prime fields Z/p,
 and sparse multivariate polynomials over Z.  A :class:`Ring` instance is a
-descriptor exposing arithmetic on *raw* values (Python ints, or
-:class:`Polynomial`); :class:`RingElement` wraps a raw value together with
-its ring and provides operator syntax with ring-mismatch checking.  All
-values are immutable; all operations are pure.
+descriptor for *raw* values (Python ints, or :class:`Polynomial`), which
+compute with Python's operators and are reduced by :meth:`Ring.reduce`;
+:class:`RingElement` pairs a raw value with its ring and checks ring
+mismatches.  All values are immutable; all operations are pure.
 """
 from __future__ import annotations
 
-import operator
 import re
 from typing import Iterable, Sequence
 
@@ -289,19 +288,18 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 class Ring:
-    """Base descriptor: arithmetic on raw values through Python's operators,
-    which ints and :class:`Polynomial` share.  Rings are equal when their
-    :meth:`describe` strings are."""
+    """Base descriptor: raw values compute with Python's operators, which ints
+    and :class:`Polynomial` share, and :meth:`reduce` brings a result back
+    into the ring.  Rings are equal when their :meth:`describe` strings are."""
 
     name = "?"
-    # p for Z/p, 0 for Z and Z[x]: the number callers reduce raw results by
+    # p for Z/p, 0 for Z and Z[x]: the number raw results are reduced by
     modulus = 0
 
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
-    pow = staticmethod(operator.pow)
+    def reduce(self, v):
+        """v mod p over Z/p; v itself over Z and Z[x]."""
+        p = self.modulus
+        return v % p if p else v
 
     def element(self, v) -> "RingElement":
         return RingElement(self, self.coerce(v))
@@ -388,21 +386,6 @@ class PrimeField(Ring):
         self.modulus = p
         self.zero = 0
         self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def sub(self, a, b):
-        return (a - b) % self.modulus
-
-    def mul(self, a, b):
-        return a * b % self.modulus
-
-    def neg(self, a):
-        return -a % self.modulus
-
-    def pow(self, a, e):
-        return pow(a, e, self.modulus)
 
     def exact_div(self, a, b):
         if b % self.modulus == 0:
@@ -671,7 +654,7 @@ class RingElement:
         v = self._raw(other)
         if v is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring.add(self.value, v))
+        return RingElement(self.ring, self.ring.reduce(self.value + v))
 
     __radd__ = __add__
 
@@ -679,29 +662,31 @@ class RingElement:
         v = self._raw(other)
         if v is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring.sub(self.value, v))
+        return RingElement(self.ring, self.ring.reduce(self.value - v))
 
     def __rsub__(self, other):
         v = self._raw(other)
         if v is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring.sub(v, self.value))
+        return RingElement(self.ring, self.ring.reduce(v - self.value))
 
     def __mul__(self, other):
         v = self._raw(other)
         if v is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring.mul(self.value, v))
+        return RingElement(self.ring, self.ring.reduce(self.value * v))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RingElement(self.ring, self.ring.neg(self.value))
+        return RingElement(self.ring, self.ring.reduce(-self.value))
 
     def __pow__(self, e: int):
+        """The one power rule: pow(v, e, p) over Z/p, v ** e over Z and Z[x]."""
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        return RingElement(self.ring, self.ring.pow(self.value, e))
+        p = self.ring.modulus
+        return RingElement(self.ring, pow(self.value, e, p) if p else self.value ** e)
 
     def exact_div(self, other) -> "RingElement":
         v = self._raw(other)

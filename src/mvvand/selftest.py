@@ -38,6 +38,9 @@ NUMERIC_GRID = tuple(
 )
 
 SYMBOLIC_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 1), (3, 1), (4, 1))
+# symbolic sign proofs; pairing at (4, 1) did not finish in 5 minutes
+DUAL_SIGN_PAIRS = ((1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1))
+PAIRING_SIGN_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
 
 
 @dataclass
@@ -125,7 +128,7 @@ def numeric_identity(quick: bool = False):
 @_criterion("dual-identity")
 def dual_identity(quick: bool = False):
     """det of the dual matrix equals the minor product up to a sign that is
-    constant per (n, d); the worked 3x2 example pins the sign +1 at (1, 2)."""
+    constant per (n, d) and +1 in the worked 3x2 example and DUAL_SIGN_PAIRS."""
     trials = 5 if quick else 100
     ok = True
     for n, d in NUMERIC_GRID:
@@ -139,7 +142,9 @@ def dual_identity(quick: bool = False):
         ok &= len(signs) <= 1
     worked = verify_dual(ExactMatrix.from_rows(ZZ, [[1, 0], [0, 1], [1, 1]]))
     ok &= worked.sign == 1
-    return ok, "sign constant per (n,d); sign(1,2)=+1"
+    for n, d in DUAL_SIGN_PAIRS:
+        ok &= verify_dual(symbolic_matrix(n + d, n + 1)).sign == 1
+    return ok, f"sign constant per (n,d); +1 at (1,2) and {len(DUAL_SIGN_PAIRS)} symbolic pairs"
 
 
 @_criterion("column-lemma")
@@ -175,7 +180,7 @@ def sym_power(quick: bool = False):
 @_criterion("abstract-pairing")
 def abstract_pairing(quick: bool = False):
     """Pairing matrix is exactly diagonal with det = sign * (mu' X)^(n+1),
-    the sign that verify_pairing predicts for (n, d)."""
+    the sign that verify_pairing predicts for (n, d); also symbolic."""
     trials = 5 if quick else 50
     ok = True
     for n, d in ((1, 2), (2, 2), (2, 3)):
@@ -183,7 +188,9 @@ def abstract_pairing(quick: bool = False):
             X = random_matrix(ZZ, n + d, n + 1, seeded_rng("pairing", n, d, t))
             # a nonzero off-diagonal entry or another sign makes it unequal
             ok &= verify_pairing(X).ok
-    return ok, f"3 grid points x {trials} trials, diagonal + sign"
+    for n, d in PAIRING_SIGN_PAIRS:
+        ok &= verify_pairing(symbolic_matrix(n + d, n + 1)).ok
+    return ok, f"3 grid points x {trials} trials + symbolic, diagonal + sign"
 
 
 @_criterion("naive-failure")

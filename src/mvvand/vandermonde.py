@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, prod
 
 from .errors import BadIndexError, ShapeError
 from .matrix import ExactMatrix, _minor_table, random_matrix, seeded_rng
@@ -64,7 +64,8 @@ def _shape_nd(X: ExactMatrix) -> tuple:
 
 def _monomial_value(ring, row, exps):
     """Value of one monomial at a row, on raw values; over Z/p the product
-    (below p^d) is reduced once."""
+    (below p^d) is reduced once, by :meth:`Ring.reduce` written inline as
+    in ``_laplace_minor``."""
     acc = ring.one
     for x, e in zip(row, exps):
         if e:
@@ -114,6 +115,8 @@ def mu_prime(X: ExactMatrix) -> RingElement:
     The minors are multiplied in colex order of the rows taken, so each
     partial product is mu' of the leading rows of X: over Z[x] it never
     outgrows that sub-problem's answer, as lex-order partial products do.
+    Over Z/p each partial product is reduced by :meth:`Ring.reduce` written
+    inline, as in ``_laplace_minor``.
     """
     n = X.ncols - 1
     m = X.nrows
@@ -150,7 +153,8 @@ def _expand_linear_forms(ring, forms, weights, keys):
     The expansion multiplies in one form at a time on raw values with
     Python's operators; over Z/p every coefficient is reduced once per form
     (a coefficient below p times one below p, summed over at most
-    len(weights) terms).  Each form's zero coefficients are skipped once."""
+    len(weights) terms), by :meth:`Ring.reduce` written inline as in
+    ``_laplace_minor``.  Each form's zero coefficients are skipped once."""
     p = ring.modulus
     acc = {0: ring.one}
     for f in forms:
@@ -220,13 +224,9 @@ def pairing_matrix(X: ExactMatrix) -> ExactMatrix:
         outside = [raw[i] for i in range(n + d) if i not in s]
         # one determinant per row j; each entry of this row multiplies d of them
         block = [ExactMatrix(ring, [raw[j]] + outside).det().value for j in range(n + d)]
-        row = []
-        for s_prime in subsets:
-            acc = ring.one
-            for j in s_prime:
-                acc = ring.mul(acc, block[j])
-            row.append(acc)
-        rows.append(row)
+        rows.append(
+            [ring.reduce(prod((block[j] for j in t), start=ring.one)) for t in subsets]
+        )
     return ExactMatrix(ring, rows)
 
 

@@ -17,7 +17,7 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         for c in cols:
             acc = ring.zero
             for x, y in zip(r, c):
-                acc = ring.add(acc, ring.mul(x, y))
+                acc = ring.reduce(acc + x * y)
             out.append(acc)
         rows.append(out)
     return ExactMatrix(ring, rows)
@@ -36,8 +36,8 @@ def poly_eval(p: RingElement, point) -> RingElement:
         term = target.from_int(c)
         for x, e in zip(point, exps):
             if e:
-                term = target.mul(term, (x ** e).value)
-        acc = target.add(acc, term)
+                term = target.reduce(term * (x ** e).value)
+        acc = target.reduce(acc + term)
     return RingElement(target, acc)
 
 
@@ -91,7 +91,7 @@ def minor_product_lex(X: ExactMatrix) -> RingElement:
 
 def expand_linear_forms(ring, forms, nvars):
     """Expand a product of linear forms sum_k c_k Y_k into a map from
-    exponent tuples to raw coefficients, one ring operation at a time."""
+    exponent tuples to raw coefficients, reducing after every operation."""
     acc = {(0,) * nvars: ring.one}
     for f in forms:
         new = {}
@@ -100,9 +100,9 @@ def expand_linear_forms(ring, forms, nvars):
                 if ring.is_zero(ck):
                     continue
                 e2 = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
-                v = ring.mul(c, ck)
+                v = ring.reduce(c * ck)
                 if e2 in new:
-                    new[e2] = ring.add(new[e2], v)
+                    new[e2] = ring.reduce(new[e2] + v)
                 else:
                     new[e2] = v
         acc = new

@@ -80,13 +80,13 @@ FP = PrimeField(1_000_003)
 
 @st.composite
 def square_mod_p(draw):
-    ring = draw(st.sampled_from([F7, FP]))
+    ring = draw(st.sampled_from([PrimeField(2), F7, FP, PrimeField(2**61 - 1)]))
     n = draw(st.integers(0, 8))
     # small values besides uniform ones make zero pivots and singular
-    # matrices common in the large field too
+    # matrices common in the large field too; from_rows reduces 2 in Z/2
     entry = st.integers(0, 2) | st.integers(0, ring.modulus - 1)
     row = st.lists(entry, min_size=n, max_size=n)
-    return ExactMatrix(ring, draw(st.lists(row, min_size=n, max_size=n)))
+    return ExactMatrix.from_rows(ring, draw(st.lists(row, min_size=n, max_size=n)))
 
 
 class TestFieldDeterminant:

@@ -1,6 +1,7 @@
-"""Over Z/p the constructors compute on integer representatives and reduce
-each stored value once.  Every result must equal the same construction over
-Z on the representatives, reduced mod p afterwards."""
+"""Over Z/p every computation runs Python's operators on integer
+representatives and reduces by the modulus: the constructors once per stored
+value, the kernels and column operations as they go.  Every result must equal
+the same computation over Z on the representatives, reduced mod p afterwards."""
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from mvvand.vandermonde import (
     eta_matrix,
     mu_matrix,
     mu_prime,
+    pairing_matrix,
     sym_power_matrix,
     veronese_matrix,
 )
@@ -47,23 +49,32 @@ def test_constructions_reduce_the_integer_ones(p):
     F = PrimeField(p)
 
     @settings(max_examples=40, deadline=None)
-    @given(representatives(p))
+    # alpha is the column-operation scalar, a plain int that may be negative
+    @given(representatives(p), st.sampled_from([p - 1, -1]) | st.integers(-p, p))
     # all entries p - 1 give the largest intermediates before reduction
-    @example(_all(p - 1, 1, 3))
-    @example(_all(p - 1, 2, 2))
-    @example(_all(p - 1, 3, 1))
+    @example(_all(p - 1, 1, 3), p - 1)
+    @example(_all(p - 1, 2, 2), p - 1)
+    @example(_all(p - 1, 3, 1), p - 1)
     @example((2, 2, [[p - 1, p - 1, 1], [1, p - 1, p - 1], [p - 1, 1, p - 1], [p - 1, p - 1, p - 1]],
-              [[p - 1, 1, p - 1], [p - 1, p - 1, 1], [1, p - 1, p - 1]]))
-    def check(case):
+              [[p - 1, 1, p - 1], [p - 1, p - 1, 1], [1, p - 1, p - 1]]), p - 1)
+    def check(case, alpha):
         n, d, rows, square = case
         Xp, Xz = ExactMatrix(F, rows), ExactMatrix(ZZ, rows)
         assert mu_matrix(Xp).rows_raw() == _reduced(mu_matrix(Xz), p)
         assert mu_prime(Xp).value == mu_prime(Xz).value % p
         assert eta_matrix(Xp).rows_raw() == _reduced(eta_matrix(Xz), p)
+        assert pairing_matrix(Xp).rows_raw() == _reduced(pairing_matrix(Xz), p)
         up, uz = ExactMatrix(F, square), ExactMatrix(ZZ, square)
         for e in range(4):
             assert veronese_matrix(Xp, e).rows_raw() == _reduced(veronese_matrix(Xz, e), p)
             assert sym_power_matrix(up, e).rows_raw() == _reduced(sym_power_matrix(uz, e), p)
+        for Mp, Mz in ((Xp, Xz), (up, uz)):
+            assert Mp.scale_column(n, alpha).rows_raw() == _reduced(Mz.scale_column(n, alpha), p)
+            assert Mp.add_scaled_column(0, n, alpha).rows_raw() == _reduced(
+                Mz.add_scaled_column(0, n, alpha), p
+            )
+        for algorithm in ("bareiss", "berkowitz"):
+            assert up.det(algorithm).value == uz.det(algorithm).value % p
         if d >= 1 and all(any(v % p for v in row) for row in rows):
             verdict = in_general_position(PointConfiguration(Xp))
             # the lex-least row subset whose integer minor vanishes mod p
@@ -79,3 +90,4 @@ def test_constructions_reduce_the_integer_ones(p):
             assert verdict.witness == witness
 
     check()
+

@@ -262,12 +262,41 @@ def test_ring_axioms(a, b, c):
     assert ea * XY.one_elem == ea
 
 
+MOD_PRIMES = (2, 3, 1_000_003, 2**61 - 1)
+
+
+@st.composite
+def mod_case(draw):
+    """(p, x, y, z, k, e): x, y, z ints with 0, 1 and p - 1 drawn often, k a
+    plain int that may be negative, e an exponent."""
+    p = draw(st.sampled_from(MOD_PRIMES))
+    value = st.sampled_from([0, 1, p - 1]) | st.integers()
+    x, y, z = draw(value), draw(value), draw(value)
+    return p, x, y, z, draw(st.integers(-2 * p, 2 * p)), draw(st.integers(0, 70))
+
+
 @settings(deadline=None, max_examples=100)
-@given(st.integers(), st.integers(), st.integers())
-def test_mod_axioms(x, y, z):
-    a, b, c = F7.element(x), F7.element(y), F7.element(z)
+@given(mod_case())
+@example((2**61 - 1, 2**61 - 2, 2**61 - 2, 2**61 - 2, -1, 70))
+def test_mod_axioms(case):
+    p, x, y, z, k, e = case
+    F = PrimeField(p)
+    a, b, c = F.element(x), F.element(y), F.element(z)
+    # every operator is Python int arithmetic on the values, reduced into [0, p)
+    for got, want in (
+        (a + b, x + y),
+        (a - b, x - y),
+        (k - a, k - x),
+        (a * b, x * y),
+        (-a, -x),
+        (a ** e, x ** e),
+    ):
+        assert got.value == want % p and 0 <= got.value < p
     assert a * (b + c) == a * b + a * c
     assert (a - b) + b == a
+    # Fermat at p = 2^61 - 1: only a modular power finishes this
+    if p == 2**61 - 1 and x % p:
+        assert a ** (p - 1) == 1
 
 
 POWER_RINGS = (ZZ, F7, PrimeField(1_000_003), XY)

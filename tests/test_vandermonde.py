@@ -7,6 +7,7 @@ from mvvand import vandermonde
 from mvvand.errors import BadIndexError, ShapeError
 from mvvand.matrix import ExactMatrix, random_matrix, seeded_rng
 from mvvand.rings import Polynomial, PolynomialRing, PrimeField, RingElement, ZZ
+from mvvand.selftest import dual_identity
 from mvvand.vandermonde import (
     _exponents,
     _pairing_sign,
@@ -639,6 +640,22 @@ class TestPairingSignMutations:
         assert report.lhs == -report.rhs and not report.lhs.is_zero()
         assert report.verdict == "unequal" and report.sign is None
         assert not report.ok
+
+
+def test_eta_row_swap_fails_dual_identity(monkeypatch):
+    """A row swap in the dual matrix at n = 2 keeps the sign constant per
+    (n, d) and leaves the worked (1, 2) example alone; the symbolic sign
+    proofs still catch it."""
+    eta_true = vandermonde.eta_matrix
+
+    def swapped(X):
+        rows = list(eta_true(X).rows_raw())
+        if X.ncols == 3:
+            rows[0], rows[1] = rows[1], rows[0]
+        return ExactMatrix(X.ring, rows)
+
+    monkeypatch.setattr(vandermonde, "eta_matrix", swapped)
+    assert not dual_identity(quick=True).passed
 
 
 class TestSymbolicCompleteness:
