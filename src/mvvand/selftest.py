@@ -204,8 +204,9 @@ def naive_failure(quick: bool = False):
 @_criterion("det-oracles")
 def det_oracles(quick: bool = False):
     """det() = cofactor = berkowitz = bareiss over Z, over Z[x,y,z] with
-    degree-1 entries and over Z/p, all orders up to 6."""
-    trials = 10 if quick else 200
+    degree-1 entries and over Z/p, all orders up to 6; over Z/p at orders
+    10, 20 and 35, det() = Bareiss over Z on the representatives, mod p."""
+    trials, large_trials = (10, 1) if quick else (200, 5)
     pr = PolynomialRing(["x", "y", "z"])
     fp = PrimeField(DEFAULT_PRIME)
     ok = True
@@ -215,7 +216,13 @@ def det_oracles(quick: bool = False):
                 M = random_matrix(ring, order, order, seeded_rng("det", tag, order, t))
                 a = M.det("cofactor")
                 ok &= M.det() == a == M.det("berkowitz") == M.det("bareiss")
-    return ok, f"orders 1..6 x {trials} trials x 3 rings"
+    for order in (10, 20, 35):
+        for t in range(large_trials):
+            M = random_matrix(fp, order, order, seeded_rng("det", "modp", order, t))
+            integer = ExactMatrix(ZZ, M.rows_raw()).det("bareiss").value
+            ok &= M.det().value == integer % fp.modulus
+    large = f"Z/p orders 10, 20, 35 x {large_trials} against Bareiss over Z mod p"
+    return ok, f"orders 1..6 x {trials} trials x 3 rings; {large}"
 
 
 @_criterion("genpos-agreement")

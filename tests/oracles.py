@@ -4,7 +4,7 @@ from itertools import combinations
 
 from mvvand.errors import RingMismatchError
 from mvvand.matrix import ExactMatrix
-from mvvand.rings import Polynomial, PolynomialRing, RingElement, _EXP_BITS
+from mvvand.rings import ZZ, Polynomial, PolynomialRing, RingElement, _EXP_BITS
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -21,6 +21,12 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
             out.append(acc)
         rows.append(out)
     return ExactMatrix(ring, rows)
+
+
+def det_mod_p(A: ExactMatrix) -> int:
+    """Raw determinant of a matrix over Z/p: Bareiss over Z on the integer
+    representatives, reduced mod p afterwards."""
+    return ExactMatrix(ZZ, A.rows_raw()).det("bareiss").value % A.ring.modulus
 
 
 def poly_eval(p: RingElement, point) -> RingElement:

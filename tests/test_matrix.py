@@ -5,9 +5,10 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mvvand.errors import BadIndexError, ShapeError
+from mvvand.errors import BadIndexError, BadRingError, ShapeError
 from mvvand.matrix import ExactMatrix, _minor_table, dumps_doc, random_matrix, seeded_rng
 from mvvand.rings import Polynomial, PolynomialRing, PrimeField, ZZ
+from oracles import det_mod_p
 
 XYZ = PolynomialRing(["x", "y", "z"])
 XY = PolynomialRing(["x", "y"])
@@ -113,6 +114,47 @@ class TestFieldDeterminant:
         A = M(rows, ring)
         assert A.det() == expected
         assert A.det("cofactor") == expected
+
+    @pytest.mark.parametrize("p", [2, 3, 1_000_003, 2**61 - 1])
+    @pytest.mark.parametrize("n", [10, 20, 35])
+    def test_packed_orders_match_integer_bareiss(self, n, p):
+        # slots fill towards n*p^2 at these orders: a slot narrower than
+        # bitlen(n*p^2) carries into its neighbour and gives wrong values
+        F, rng = PrimeField(p), seeded_rng("packed", n, p)
+
+        def rows(values):
+            return [[values() for _ in range(n)] for _ in range(n)]
+
+        cases = [rows(lambda: rng.choice([0, 1, p - 1])) for _ in range(3)]
+        cases += [rows(lambda: rng.randrange(p)) for _ in range(3)]
+        repeated = rows(lambda: rng.randrange(p))
+        repeated[n - 1] = repeated[n // 2]
+        # column k zero in rows 0..k: a zero pivot at step k (30 at order
+        # 35) that a row from below replaces; zero everywhere, an early exit
+        k = n - 5
+        swap = rows(lambda: rng.randrange(p))
+        for r in swap[: k + 1]:
+            r[k] = 0
+        zero_column = rows(lambda: rng.randrange(p))
+        for r in zero_column:
+            r[k] = 0
+        cases += [repeated, swap, zero_column]
+        for c in cases:
+            A = ExactMatrix(F, c)
+            assert A.det().value == det_mod_p(A)
+        assert det_mod_p(ExactMatrix(F, repeated)) == 0
+        assert det_mod_p(ExactMatrix(F, zero_column)) == 0
+        if p > 3:
+            assert det_mod_p(ExactMatrix(F, swap)) != 0
+
+    def test_raw_constructor_rejects_unreduced_entries(self):
+        # an entry outside [0, p) once gave det("cofactor") 2 and det() 0
+        for rows in ([[2]], [[1, 0], [0, -1]]):
+            with pytest.raises(BadRingError):
+                ExactMatrix(PrimeField(2), rows)
+        assert ExactMatrix.from_rows(PrimeField(2), [[2]]).det() == 0
+        assert ExactMatrix(ZZ, [[2, -1]]).ncols == 2
+        assert ExactMatrix(PrimeField(2), [[]]).nrows == 1
 
 
 @st.composite
