@@ -42,7 +42,25 @@ from .vandermonde import (
     veronese_matrix,
 )
 
-IDENTITIES = ("hdv", "dual", "lemma", "sym", "abstract", "naive")
+
+def _wide(n, d):
+    return (n + d, n + 1), comb(n + d, n)
+
+
+def _square(n, d):
+    return (n, n), comb(n + d - 1, d)
+
+
+# identity -> (shape and determinant order of a generated matrix, verifier);
+# naive builds its own matrix from --n, --d and --seed
+VERIFIERS = {
+    "hdv": (_wide, lambda X, o: verify_hdv(X)),
+    "dual": (_wide, lambda X, o: verify_dual(X)),
+    "lemma": (_wide, lambda X, o: verify_column_lemma(X, o["alpha"], o["src_col"], o["dst_col"])),
+    "sym": (_square, lambda X, o: verify_sym_power(X, o["d"])),
+    "abstract": (_wide, lambda X, o: verify_pairing(X)),
+    "naive": (None, lambda X, o: demo_naive_failure(o["n"], o["d"], o["seed"])),
+}
 
 
 def _emit(doc: dict, output: str | None) -> None:
@@ -52,14 +70,6 @@ def _emit(doc: dict, output: str | None) -> None:
             fh.write(text)
     else:
         click.echo(text, nl=False)
-
-
-def _numeric_ring(ring: str, modulus: int | None):
-    if ring == "mod_p":
-        return PrimeField(DEFAULT_PRIME if modulus is None else modulus)
-    if modulus is not None:
-        raise BadRingError(f"--modulus applies only to --ring mod_p, not {ring}")
-    return ZZ
 
 
 @click.group()
@@ -114,7 +124,7 @@ def sym(input_, d, output):
 
 
 @cli.command()
-@click.argument("identity", type=click.Choice(IDENTITIES))
+@click.argument("identity", type=click.Choice(list(VERIFIERS)))
 @click.option("--input", "input_", type=click.Path(exists=True), default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--d", type=int, default=None)
@@ -132,104 +142,66 @@ def sym(input_, d, output):
 @click.option("--src-col", type=int, default=0)
 @click.option("--dst-col", type=int, default=1)
 @click.option("--output", type=click.Path(), default=None)
-def verify(
-    identity,
-    input_,
-    n,
-    d,
-    ring,
-    modulus,
-    seed,
-    symbolic,
-    symbolic_cap,
-    alpha,
-    src_col,
-    dst_col,
-    output,
-):
+def verify(identity, **opts):
     """Verify one identity; exit 0 iff the verdict matches expectation."""
-    if (ring is not None or symbolic or modulus is not None) and (
-        input_ is not None or identity == "naive"
-    ):
-        raise BadRingError(
-            "--ring, --symbolic and --modulus apply only to generated matrices"
-        )
-    if symbolic and (ring is not None or modulus is not None):
-        raise BadRingError("--symbolic verification runs over the polynomial ring")
+    input_, symbolic, ring = opts["input_"], opts["symbolic"], opts["ring"]
+    reads = _options_read(identity, input_, symbolic, ring)
+    # a given option the run does not read, then a missing value, then a bad one
+    ctx = click.get_current_context()
+    for name, read in reads.items():
+        if not read and ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            run = ("builds its own matrix" if identity == "naive"
+                   else "reads --input" if input_ is not None
+                   else "is symbolic" if symbolic else f"is over {ring or 'int'}")
+            flag = "--" + name.rstrip("_").replace("_", "-")
+            error = BadRingError if name in ("ring", "modulus", "symbolic") else ShapeError
+            raise error(f"verify {identity} {run}, so it does not read {flag}; drop it")
+    if missing := [f"--{name}" for name in ("n", "d") if reads[name] and opts[name] is None]:
+        alt = "" if input_ is not None or identity == "naive" else ", or --input"
+        raise ShapeError(f"verify {identity} needs {' and '.join(missing)}{alt}")
 
-    if identity == "naive":
-        if input_ is not None:
-            raise ShapeError("verify naive builds its own matrix from --n and --d; drop --input")
-        if n is None or d is None:
-            raise ShapeError("verify naive needs --n and --d")
-    else:
-        X = _matrix_for_verify(
-            identity, input_, n, d, ring, modulus, seed, symbolic, symbolic_cap
-        )
-        if identity == "sym" and d is None:
-            raise ShapeError("verify sym needs --d")
-    _reject_unused_options(identity, input_, symbolic)
-
-    if identity == "naive":
-        report = demo_naive_failure(n, d, seed)
-    elif identity == "hdv":
-        report = verify_hdv(X)
-    elif identity == "dual":
-        report = verify_dual(X)
-    elif identity == "lemma":
-        report = verify_column_lemma(X, alpha, src_col, dst_col)
-    elif identity == "sym":
-        report = verify_sym_power(X, d)
-    else:  # abstract
-        report = verify_pairing(X)
-
-    _emit(report.to_doc(), output)
+    shape_order, check = VERIFIERS[identity]
+    if input_ is not None:
+        X = ExactMatrix.load(input_)
+    else:  # None for naive, which builds its own matrix
+        X = shape_order and _generated_matrix(identity, shape_order, **opts)
+    report = check(X, opts)
+    _emit(report.to_doc(), opts["output"])
     sys.exit(0 if report.ok else 1)
 
 
-def _reject_unused_options(identity, input_, symbolic):
-    """Raise a shape error for an option given on the command line that this
-    run would ignore; an option left at its default is not given."""
-    unused = {}
-    if input_ is not None or symbolic:
-        unused["seed"] = "--seed applies only to generated numeric matrices"
-    if not symbolic:
-        unused["symbolic_cap"] = "--symbolic-cap applies only with --symbolic"
-    if identity != "lemma":
-        for name in ("alpha", "src_col", "dst_col"):
-            unused[name] = f"--{name.replace('_', '-')} applies only to verify lemma"
-    ctx = click.get_current_context()
-    for name, message in unused.items():
-        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
-            raise ShapeError(f"{message}; drop it")
+def _options_read(identity, input_, symbolic, ring):
+    """Whether a verify run reads each option, in the order a given option
+    that it does not read is reported."""
+    generated = input_ is None and identity != "naive"
+    return {
+        "ring": generated and not symbolic,
+        "modulus": generated and not symbolic and ring == "mod_p",
+        "symbolic": generated,
+        "input_": identity != "naive",
+        "n": input_ is None,
+        "d": input_ is None or identity == "sym",
+        "seed": input_ is None and not symbolic,
+        "symbolic_cap": symbolic,
+        "alpha": identity == "lemma",
+        "src_col": identity == "lemma",
+        "dst_col": identity == "lemma",
+    }
 
 
-def _matrix_for_verify(identity, input_, n, d, ring, modulus, seed, symbolic, cap):
-    square = identity == "sym"
-    if input_ is not None:
-        # the shape of the file fixes n and d; for sym, --d is the power
-        if n is not None or (d is not None and not square):
-            flags = "--n" if square else "--n and --d"
-            raise ShapeError(f"verify {identity} takes its shape from --input; drop {flags}")
-        return ExactMatrix.load(input_)
-    if n is None or d is None:
-        raise ShapeError(f"verify {identity} needs --input or --n and --d")
+def _generated_matrix(identity, shape_order, n, d, ring, modulus, seed, symbolic,
+                      symbolic_cap, **_):
     if n < 1 or d < 0:
         raise ShapeError(f"verify {identity} needs n >= 1 and d >= 0, got n={n}, d={d}")
-    if square:
-        shape = (n, n)
-        order = comb(n + d - 1, d)
-    else:
-        shape = (n + d, n + 1)
-        order = comb(n + d, n)
+    shape, order = shape_order(n, d)
     if symbolic:
-        if order > cap:
+        if order > symbolic_cap:
             raise SymbolicCapError(
-                f"symbolic order {order} exceeds cap {cap}; raise --symbolic-cap"
+                f"symbolic order {order} exceeds cap {symbolic_cap}; raise --symbolic-cap"
             )
         return symbolic_matrix(*shape)
-    rng = seeded_rng("verify", identity, n, d, seed)
-    return random_matrix(_numeric_ring(ring or "int", modulus), *shape, rng)
+    field = PrimeField(DEFAULT_PRIME if modulus is None else modulus) if ring == "mod_p" else ZZ
+    return random_matrix(field, *shape, seeded_rng("verify", identity, n, d, seed))
 
 
 @cli.command()

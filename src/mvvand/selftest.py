@@ -173,7 +173,7 @@ def sym_power(quick: bool = False):
             for t in range(trials):
                 u = random_matrix(ZZ, m, m, seeded_rng("sym", m, d, t))
                 ok &= verify_sym_power(u, d).ok
-    ok &= verify_sym_power(symbolic_matrix(2, 2, prefix="u"), 2).ok
+    ok &= verify_sym_power(symbolic_matrix(2, 2), 2).ok
     return ok, f"m,d <= 4 x {trials} trials + symbolic (2,2)"
 
 

@@ -400,9 +400,9 @@ def demo_naive_failure(n: int, d: int, seed: int = 0) -> VerificationReport:
 # symbolic instances
 
 
-def symbolic_matrix(nrows: int, ncols: int, prefix: str = "x") -> ExactMatrix:
+def symbolic_matrix(nrows: int, ncols: int) -> ExactMatrix:
     """Matrix of distinct formal unknowns x{i}_{j} over Z[...]."""
-    names = [f"{prefix}{i}_{j}" for i in range(nrows) for j in range(ncols)]
+    names = [f"x{i}_{j}" for i in range(nrows) for j in range(ncols)]
     ring = PolynomialRing(names)
     rows = [
         [Polynomial.variable(ring.nvars, i * ncols + j) for j in range(ncols)]

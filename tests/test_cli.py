@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from mvvand.cli import cli
+from mvvand.errors import BadRingError, ShapeError
 from mvvand.matrix import ExactMatrix
 from mvvand.rings import ZZ
 
@@ -84,6 +85,31 @@ class TestConstructors:
             [0, 1, 0],
             [0, 0, 1],
         ]
+
+
+# the run kinds of verify, each accepted as it stands
+RUN_KINDS = {
+    "numeric": ["verify", "hdv", "--n", "1", "--d", "1"],
+    "symbolic": ["verify", "lemma", "--n", "1", "--d", "1", "--symbolic"],
+    "input": ["verify", "lemma", "--input", "{worked}"],
+    "sym-input": ["verify", "sym", "--input", "{square}", "--d", "2"],
+    "naive": ["verify", "naive", "--n", "2", "--d", "2"],
+}
+# whether each run kind, in the order above, reads a flag: R read, . not read
+SCOPE = {
+    "--n 1":                    "R R . . R",
+    "--d 1":                    "R R . R R",
+    "--ring int":               "R . . . .",
+    "--ring mod_p --modulus 7": "R . . . .",
+    "--seed 3":                 "R . . . R",
+    "--symbolic":               "R R . . .",
+    "--symbolic-cap 5":         ". R . . .",
+    "--alpha 3":                ". R R . .",
+    "--src-col 0":              ". R R . .",
+    "--dst-col 1":              ". R R . .",
+    "--output {out}":           "R R R R R",
+}
+RING_FLAGS = {"--ring int", "--ring mod_p --modulus 7", "--symbolic"}
 
 
 class TestVerify:
@@ -205,6 +231,21 @@ class TestVerify:
         assert hashlib.sha256(proc.stdout).hexdigest() == (
             "7ed3ac2d5a5e7068f970bca7d49f1531a5017a63bcf80213e2cb7dfe3fa5a669"
         )
+
+    @pytest.mark.parametrize("flag", SCOPE)
+    @pytest.mark.parametrize("kind", RUN_KINDS)
+    def test_scope_table(self, runner, worked_file, square_file, tmp_path, kind, flag):
+        out = str(tmp_path / "out.json")
+        args = [
+            a.format(worked=worked_file, square=square_file, out=out)
+            for a in RUN_KINDS[kind] + flag.split()
+        ]
+        result = runner.invoke(cli, args)
+        if SCOPE[flag].split()[list(RUN_KINDS).index(kind)] == "R":
+            assert result.exit_code == 0, (result.output, result.exception)
+        else:
+            error = BadRingError if flag in RING_FLAGS else ShapeError
+            assert type(result.exception) is error
 
     def test_deterministic_output(self, runner):
         args = ["verify", "hdv", "--n", "2", "--d", "2", "--seed", "9"]
@@ -361,6 +402,41 @@ class TestErrors:
         proc = run_main([a.format(worked=worked_file) for a in args])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:shape-error:")
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            # a given option the run does not read comes first; --n and --d
+            # used to be asked for before --modulus was refused
+            pytest.param(["verify", "hdv", "--modulus", "7"], "bad-ring", id="unread-then-missing"),
+            pytest.param(
+                ["verify", "hdv", "--n", "0", "--d", "1", "--ring", "int", "--modulus", "7"],
+                "bad-ring",
+                id="unread-then-range",
+            ),
+            # then missing values, then values out of range
+            pytest.param(
+                ["verify", "lemma", "--n", "1", "--src-col", "1"], "shape-error", id="missing-then-range"
+            ),
+            pytest.param(
+                ["verify", "hdv", "--n", "1", "--d", "1", "--symbolic", "--symbolic-cap", "1",
+                 "--seed", "3"],
+                "shape-error",
+                id="unread-seed-then-cap",
+            ),
+            pytest.param(
+                ["verify", "lemma", "--n", "1", "--d", "1", "--ring", "mod_p", "--modulus", "8",
+                 "--symbolic-cap", "5"],
+                "shape-error",
+                id="unread-cap-then-composite",
+            ),
+        ],
+    )
+    def test_error_order(self, args, code):
+        proc = run_main(args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error:{code}:")
         assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize(

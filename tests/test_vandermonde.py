@@ -524,7 +524,7 @@ class TestVerifySymPower:
         assert report.verdict == "equal" and report.lhs == 1
 
     def test_symbolic(self):
-        assert verify_sym_power(symbolic_matrix(2, 2, prefix="u"), 2).verdict == "equal"
+        assert verify_sym_power(symbolic_matrix(2, 2), 2).verdict == "equal"
 
 
 class TestNaiveComparison:
