@@ -1,7 +1,7 @@
-"""Immutable dense matrices over a ring, with three exact determinant
-algorithms (cofactor expansion, Berkowitz, fraction-free Bareiss), Gaussian
-elimination on packed rows for prime fields, arbitrary minor extraction, and a
-lazy minor table that shares sub-minors between the minors it is asked for.
+"""Immutable dense matrices over a ring, with one exact determinant kernel per
+ring kind (packed Gaussian elimination over Z/p, fraction-free Bareiss over Z,
+cofactor expansion over Z[x]) and Berkowitz as an oracle, minor extraction, and
+a lazy minor table that shares sub-minors between the minors it is asked for.
 """
 from __future__ import annotations
 
@@ -10,17 +10,6 @@ from pathlib import Path
 
 from .errors import BadIndexError, BadRingError, ParseError, ShapeError
 from .rings import Ring, RingElement, ring_from_doc
-
-DET_ALGORITHMS = ("auto", "cofactor", "berkowitz", "bareiss")
-
-# det("auto") by ring kind, at every order.  Over Z/p, Bareiss pays a modular
-# inverse per entry update, field elimination one per pivot and one big-int
-# multiply-add per row update (26x faster at order 35, up to 1.1 us slower
-# at orders 1 to 3); over Z, Bareiss beats cofactor expansion from order 3 up
-# (1.9x at order 4) and trails it by under a microsecond at order 1; over
-# Z[x], Bareiss swells intermediate polynomials (6x6 symbolic: cofactor
-# 0.12 s, Bareiss 87 s).  "field" is reachable only through "auto".
-_AUTO_DET = {"mod_p": "field", "int": "bareiss", "poly": "cofactor"}
 
 
 class ExactMatrix:
@@ -133,24 +122,24 @@ class ExactMatrix:
 
     # -- determinants -------------------------------------------------------
 
-    def det(self, algorithm: str = "auto") -> RingElement:
+    def det(self) -> RingElement:
+        """Determinant by the one kernel of the ring's kind, at every order.
+        Over Z/p, Bareiss pays a modular inverse per entry update, field
+        elimination one per pivot and one big-int multiply-add per row
+        update (26x faster at order 35, up to 1.1 us slower at orders 1 to
+        3); over Z, Bareiss beats cofactor expansion from order 3 up (1.9x at
+        order 4) and trails it by under a microsecond at order 1; over Z[x],
+        Bareiss swells intermediate polynomials (6x6 symbolic: cofactor
+        0.12 s, Bareiss 87 s).  The kernels are looked up when called, so a
+        tracer that patches the module's names sees every call."""
         if not self.is_square:
             raise ShapeError(f"determinant of a {self.nrows}x{self.ncols} matrix")
-        if algorithm not in DET_ALGORITHMS:
-            raise BadIndexError(f"unknown determinant algorithm: {algorithm!r}")
         ring = self.ring
-        n = self.nrows
-        if n == 0:
+        if not self.nrows:
             return RingElement(ring, ring.one)
-        if algorithm == "auto":
-            algorithm = _AUTO_DET[ring.name]
-        if algorithm == "field":
-            return RingElement(ring, _det_field(ring.modulus, self._rows))
-        if algorithm == "cofactor":
-            return RingElement(ring, _det_cofactor(ring, self._rows))
-        if algorithm == "bareiss":
-            return RingElement(ring, _det_bareiss(ring, [list(r) for r in self._rows]))
-        return RingElement(ring, _det_berkowitz(ring, self._rows))
+        kind = ring.name
+        kernel = _det_field if kind == "mod_p" else _det_bareiss if kind == "int" else _det_cofactor
+        return RingElement(ring, kernel(ring, self._rows))
 
     def minor(self, rows, cols) -> RingElement:
         """Raw minor: determinant of the selected submatrix, no cofactor sign."""
@@ -187,7 +176,7 @@ class ExactMatrix:
     def load(cls, path) -> "ExactMatrix":
         try:
             doc = json.loads(Path(path).read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ParseError(f"{path} is not a JSON document: {exc}") from None
         return cls.from_doc(doc)
 
@@ -216,7 +205,8 @@ def random_matrix(ring: Ring, nrows: int, ncols: int, rng) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# determinant algorithms on raw entries
+# the minor table and the determinant kernels; kernel(ring, rows) takes the raw
+# rows of an order n >= 1 matrix and leaves them unchanged
 
 
 def _minor_table(M: ExactMatrix):
@@ -298,10 +288,11 @@ def _det_bareiss(ring, rows):
     """Fraction-free elimination; requires exact division (integral domain),
     and ``ring.exact_div`` also reduces each update's raw numerator.
 
-    Pivoting scans each column top-down for the first nonzero entry; a fully
-    zero pivot column short-circuits to determinant zero.
+    Pivoting scans each column top-down for the first nonzero entry, on a
+    copy of the rows; a fully zero pivot column short-circuits to zero.
     """
     n = len(rows)
+    rows = [list(r) for r in rows]
     div, is_zero = ring.exact_div, ring.is_zero
     sign = 1
     prev = ring.one
@@ -329,9 +320,9 @@ def _det_bareiss(ring, rows):
     return d if sign > 0 else ring.reduce(-d)
 
 
-def _det_field(p, rows):
-    """Gaussian elimination over Z/p of an order n >= 1 matrix of entries in
-    [0, p), one modular inverse per pivot; a zero pivot column gives 0.
+def _det_field(ring, rows):
+    """Gaussian elimination over Z/p, p = ring.modulus, of entries in [0, p),
+    one modular inverse per pivot; a zero pivot column gives 0.
 
     Row i is one int, column j in slot j of w = bitlen(n*p^2) bits (Dumas,
     Fousse, Salvy, JSC 2011), so eliminating pivot row k from it is one
@@ -339,7 +330,7 @@ def _det_field(p, rows):
     slot by slot first.  Each step adds under p^2 to a slot and never
     subtracts, so a slot stays in [0, n*p^2): it neither borrows nor carries.
     """
-    n = len(rows)
+    n, p = len(rows), ring.modulus
     w = (n * p * p).bit_length()
     mask = (1 << w) - 1
     packs = []

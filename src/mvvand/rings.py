@@ -301,6 +301,12 @@ class Ring:
         p = self.modulus
         return v % p if p else v
 
+    def is_zero(self, a) -> bool:
+        return a == 0
+
+    def format(self, a) -> str:
+        return str(a)
+
     def element(self, v) -> "RingElement":
         return RingElement(self, self.coerce(v))
 
@@ -327,8 +333,8 @@ class Ring:
     def __hash__(self):
         return hash(self.describe())
 
-    # subclasses: zero, one, exact_div, is_zero, from_int, parse, format,
-    # random_entry, describe, to_doc
+    # subclasses: zero, one, exact_div, from_int, parse, random_entry,
+    # describe, to_doc; PolynomialRing also is_zero and format
 
 
 class IntegerRing(Ring):
@@ -346,9 +352,6 @@ class IntegerRing(Ring):
             raise InexactDivisionError(f"{b} does not divide {a}")
         return q
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def from_int(self, k: int):
         return int(k)
 
@@ -357,9 +360,6 @@ class IntegerRing(Ring):
             return int(text)
         except ValueError:
             raise ParseError(f"not an integer: {text!r}") from None
-
-    def format(self, a) -> str:
-        return str(a)
 
     def random_entry(self, rng):
         # sampling convention for randomized suites
@@ -388,12 +388,9 @@ class PrimeField(Ring):
         self.one = 1 % p
 
     def exact_div(self, a, b):
-        if b % self.modulus == 0:
+        if b == 0:
             raise ZeroDivisionError("division by zero in Z/p")
         return a * pow(b, -1, self.modulus) % self.modulus
-
-    def is_zero(self, a) -> bool:
-        return a % self.modulus == 0
 
     def from_int(self, k: int):
         return k % self.modulus
@@ -403,9 +400,6 @@ class PrimeField(Ring):
             return int(text) % self.modulus
         except ValueError:
             raise ParseError(f"not an integer: {text!r}") from None
-
-    def format(self, a) -> str:
-        return str(a % self.modulus)
 
     def random_entry(self, rng):
         return rng.randrange(self.modulus)
@@ -546,12 +540,18 @@ class PolynomialRing(Ring):
             pos += 1
             return t
 
+        def number(t):
+            try:
+                return int(t)
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError(f"{len(t)}-digit number in polynomial text") from None
+
         def parse_factor():
             t = take()
             if t is None:
                 raise ParseError("unexpected end of polynomial text")
             if t.isdigit():
-                return int(t), {}
+                return number(t), {}
             if _NAME_RE.match(t):
                 if t not in self._index:
                     raise ParseError(f"unknown variable: {t!r}")
@@ -561,7 +561,7 @@ class PolynomialRing(Ring):
                     exp = take()
                     if exp is None or not exp.isdigit():
                         raise ParseError("expected integer exponent after '^'")
-                    e = int(exp)
+                    e = number(exp)
                 return 1, {self._index[t]: e}
             raise ParseError(f"unexpected token {t!r}")
 
@@ -636,6 +636,10 @@ class RingElement:
     __slots__ = ("ring", "value")
 
     def __init__(self, ring: Ring, value):
+        # over Z/p a raw value is canonical, in [0, p); Ring.element reduces
+        p = ring.modulus
+        if p and not 0 <= value < p:
+            raise BadRingError(f"{ring.describe()} values must lie in [0, {p})")
         self.ring = ring
         self.value = value
 

@@ -18,6 +18,7 @@ from .genpos import (
     in_general_position_via_eta,
 )
 from .matrix import ExactMatrix, random_matrix, seeded_rng
+from .matrix import _det_bareiss, _det_berkowitz, _det_cofactor
 from .rings import DEFAULT_PRIME, PolynomialRing, PrimeField, ZZ
 from .vandermonde import (
     demo_naive_failure,
@@ -91,7 +92,7 @@ def classical_vandermonde(quick: bool = False):
     for d in degrees:
         ring = PolynomialRing([f"X{i}" for i in range(d + 1)])
         rows = [[ring.var(i) ** j for j in range(d + 1)] for i in range(d + 1)]
-        det = ExactMatrix.from_rows(ring, rows).det("cofactor")
+        det = ExactMatrix.from_rows(ring, rows).det()
         rhs = ring.one_elem
         for i in range(d + 1):
             for j in range(i + 1, d + 1):
@@ -214,13 +215,13 @@ def det_oracles(quick: bool = False):
         for order in range(1, 7):
             for t in range(trials):
                 M = random_matrix(ring, order, order, seeded_rng("det", tag, order, t))
-                a = M.det("cofactor")
-                ok &= M.det() == a == M.det("berkowitz") == M.det("bareiss")
+                rows, a = M.rows_raw(), M.det().value
+                ok &= a == _det_cofactor(ring, rows) == _det_berkowitz(ring, rows)
+                ok &= a == _det_bareiss(ring, rows)
     for order in (10, 20, 35):
         for t in range(large_trials):
             M = random_matrix(fp, order, order, seeded_rng("det", "modp", order, t))
-            integer = ExactMatrix(ZZ, M.rows_raw()).det("bareiss").value
-            ok &= M.det().value == integer % fp.modulus
+            ok &= M.det().value == _det_bareiss(ZZ, M.rows_raw()) % fp.modulus
     large = f"Z/p orders 10, 20, 35 x {large_trials} against Bareiss over Z mod p"
     return ok, f"orders 1..6 x {trials} trials x 3 rings; {large}"
 

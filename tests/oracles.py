@@ -3,7 +3,7 @@ package itself has no use for them."""
 from itertools import combinations
 
 from mvvand.errors import RingMismatchError
-from mvvand.matrix import ExactMatrix
+from mvvand.matrix import ExactMatrix, _det_bareiss
 from mvvand.rings import ZZ, Polynomial, PolynomialRing, RingElement, _EXP_BITS
 
 
@@ -23,10 +23,17 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(ring, rows)
 
 
+def det_by(kernel, A: ExactMatrix) -> RingElement:
+    """Determinant of the square matrix A by one named kernel of
+    mvvand.matrix, such as ``_det_berkowitz``; one at order 0."""
+    ring = A.ring
+    return RingElement(ring, kernel(ring, A.rows_raw()) if A.nrows else ring.one)
+
+
 def det_mod_p(A: ExactMatrix) -> int:
     """Raw determinant of a matrix over Z/p: Bareiss over Z on the integer
     representatives, reduced mod p afterwards."""
-    return ExactMatrix(ZZ, A.rows_raw()).det("bareiss").value % A.ring.modulus
+    return det_by(_det_bareiss, ExactMatrix(ZZ, A.rows_raw())).value % A.ring.modulus
 
 
 def poly_eval(p: RingElement, point) -> RingElement:

@@ -291,6 +291,8 @@ class TestErrors:
             # int() used to truncate these to Z/7 and Z/1
             ('{"ring": "mod_p", "modulus": 7.5, "rows": [["1", "0"], ["0", "1"]]}', "parse-error"),
             ('{"ring": "mod_p", "modulus": true, "rows": [["1", "0"], ["0", "1"]]}', "parse-error"),
+            # the JSON reader raised RecursionError
+            pytest.param("[" * 200_000 + "]" * 200_000, "parse-error", id="nested-200000-deep"),
         ],
     )
     def test_malformed_file(self, tmp_path, text, code):
@@ -300,6 +302,31 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error:{code}:")
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_results_past_the_digit_limit_are_written(self, tmp_path):
+        # main() lifts the interpreter's 4,300-digit limit on integer text:
+        # the square of a 2,200-digit entry once ended in a traceback, exit 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"ring": "int", "rows": [["9" * 2200, "1"]]}))
+        proc = run_main(["veronese", "--input", str(path), "--d", "2"])
+        assert proc.returncode == 0, proc.stderr
+        # (10^2200 - 1)^2, written out without int-to-text conversion
+        square = "9" * 2199 + "8" + "0" * 2199 + "1"
+        assert square in json.loads(proc.stdout)["rows"][0]
+
+    @pytest.mark.parametrize(
+        "entry,code",
+        [("7" * 5000 + "*x", 0), ("x^" + "7" * 5000, 2)],
+        ids=["coefficient", "exponent"],
+    )
+    def test_long_numbers_in_polynomial_text(self, tmp_path, entry, code):
+        path = tmp_path / "poly.json"
+        doc = {"ring": "poly", "variables": ["x"], "rows": [[entry, "0"], ["0", "1"], ["1", "1"]]}
+        path.write_text(json.dumps(doc))
+        proc = run_main(["mu", "--input", str(path)])
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stderr.startswith("error:exponent-overflow:")
 
     def test_lemma_same_column_is_usage_error(self):
         proc = run_main(

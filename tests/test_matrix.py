@@ -6,9 +6,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mvvand.errors import BadIndexError, BadRingError, ShapeError
-from mvvand.matrix import ExactMatrix, _minor_table, dumps_doc, random_matrix, seeded_rng
+from mvvand import matrix
+from mvvand.matrix import (
+    ExactMatrix,
+    _det_bareiss,
+    _det_berkowitz,
+    _det_cofactor,
+    _det_field,
+    _minor_table,
+    dumps_doc,
+    random_matrix,
+    seeded_rng,
+)
 from mvvand.rings import Polynomial, PolynomialRing, PrimeField, ZZ
-from oracles import det_mod_p
+from oracles import det_by, det_mod_p
 
 XYZ = PolynomialRing(["x", "y", "z"])
 XY = PolynomialRing(["x", "y"])
@@ -32,29 +43,33 @@ class TestDeterminant:
     def test_empty_matrix(self):
         assert ExactMatrix(ZZ, []).det() == 1
 
-    @pytest.mark.parametrize("algorithm", ["cofactor", "berkowitz", "bareiss"])
-    def test_known_4x4(self, algorithm):
+    @pytest.mark.parametrize(
+        "kernel",
+        [_det_cofactor, _det_berkowitz, _det_bareiss],
+        ids=["cofactor", "berkowitz", "bareiss"],
+    )
+    def test_known_4x4(self, kernel):
         # det computed by cofactor expansion by hand-checkable oracle
         A = M([[2, 0, 1, 3], [1, 1, 0, 2], [0, 4, 1, 1], [3, 2, 1, 0]])
-        assert A.det(algorithm) == A.det("cofactor")
+        assert det_by(kernel, A) == det_by(_det_cofactor, A)
 
     def test_agreement_int_5x5(self):
         # 200 seeded trials; cofactor expansion is the oracle
         for t in range(200):
             A = random_matrix(ZZ, 5, 5, seeded_rng("agree5", t))
-            expected = A.det("cofactor")
-            assert A.det("berkowitz") == expected
-            assert A.det("bareiss") == expected
-            assert A.det("auto") == expected
+            expected = det_by(_det_cofactor, A)
+            assert det_by(_det_berkowitz, A) == expected
+            assert det_by(_det_bareiss, A) == expected
+            assert A.det() == expected
 
     @pytest.mark.parametrize("ring", [ZZ, PrimeField(1_000_003), XYZ])
     def test_agreement_small_orders(self, ring):
         for order in range(1, 7):
             for t in range(10):
                 A = random_matrix(ring, order, order, seeded_rng("agree", order, t))
-                expected = A.det("cofactor")
-                assert A.det("berkowitz") == expected
-                assert A.det("bareiss") == expected
+                expected = det_by(_det_cofactor, A)
+                assert det_by(_det_berkowitz, A) == expected
+                assert det_by(_det_bareiss, A) == expected
 
     def test_row_swap_negates(self):
         for t in range(25):
@@ -72,11 +87,47 @@ class TestDeterminant:
 
     def test_zero_pivot_column_short_circuit(self):
         A = M([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
-        assert A.det("bareiss") == 0
+        assert det_by(_det_bareiss, A) == 0
 
 
 F7 = PrimeField(7)
 FP = PrimeField(1_000_003)
+KERNELS = ("_det_field", "_det_bareiss", "_det_cofactor", "_det_berkowitz")
+
+
+class TestDeterminantRule:
+    @pytest.mark.parametrize(
+        "ring,kernel",
+        [(FP, "_det_field"), (ZZ, "_det_bareiss"), (XYZ, "_det_cofactor")],
+        ids=["mod_p", "int", "poly"],
+    )
+    def test_ring_kind_picks_the_kernel(self, ring, kernel, monkeypatch):
+        # det() looks its kernel up by module name at each call, so these
+        # wrappers see every call; Berkowitz is an oracle only
+        calls = []
+        for name in KERNELS:
+            def counting(r, rows, name=name, fn=getattr(matrix, name)):
+                calls.append(name)
+                return fn(r, rows)
+
+            monkeypatch.setattr(matrix, name, counting)
+        for order in range(1, 7):
+            A = random_matrix(ring, order, order, seeded_rng("rule", order))
+            assert A.det() == det_by(_det_berkowitz, A)
+        assert ExactMatrix(ring, []).det() == 1
+        assert calls == [kernel] * 6
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [_det_field, _det_bareiss, _det_cofactor, _det_berkowitz],
+        ids=["field", "bareiss", "cofactor", "berkowitz"],
+    )
+    def test_kernels_leave_their_rows_unchanged(self, kernel):
+        # a zero (0, 0) entry makes the eliminations swap rows
+        rows = [[0, 2, 3], [4, 5, 6], [7, 8, 10]]
+        before = [list(r) for r in rows]
+        assert kernel(FP, rows) == FP.reduce(-5)
+        assert rows == before
 
 
 @st.composite
@@ -94,10 +145,10 @@ class TestFieldDeterminant:
     @settings(max_examples=200, deadline=None)
     @given(square_mod_p())
     def test_auto_matches_oracles(self, A):
-        expected = A.det("cofactor")
+        expected = det_by(_det_cofactor, A)
         assert A.det() == expected
-        assert A.det("berkowitz") == expected
-        assert A.det("bareiss") == expected
+        assert det_by(_det_berkowitz, A) == expected
+        assert det_by(_det_bareiss, A) == expected
 
     @pytest.mark.parametrize(
         "rows,expected",
@@ -113,7 +164,7 @@ class TestFieldDeterminant:
     def test_explicit_cases(self, ring, rows, expected):
         A = M(rows, ring)
         assert A.det() == expected
-        assert A.det("cofactor") == expected
+        assert det_by(_det_cofactor, A) == expected
 
     @pytest.mark.parametrize("p", [2, 3, 1_000_003, 2**61 - 1])
     @pytest.mark.parametrize("n", [10, 20, 35])
@@ -148,7 +199,7 @@ class TestFieldDeterminant:
             assert det_mod_p(ExactMatrix(F, swap)) != 0
 
     def test_raw_constructor_rejects_unreduced_entries(self):
-        # an entry outside [0, p) once gave det("cofactor") 2 and det() 0
+        # an entry outside [0, p) once gave the cofactor kernel 2 and det() 0
         for rows in ([[2]], [[1, 0], [0, -1]]):
             with pytest.raises(BadRingError):
                 ExactMatrix(PrimeField(2), rows)
@@ -189,11 +240,11 @@ class TestMinors:
         for k in range(min(A.nrows, A.ncols) + 1):
             for rows in combinations(range(A.nrows), k):
                 for cols in combinations(range(A.ncols), k):
-                    expected = A.submatrix(rows, cols).det("berkowitz").value
+                    expected = det_by(_det_berkowitz, A.submatrix(rows, cols)).value
                     assert minor(rows, cols) == expected
         if A.is_square:
             # the cofactor kernel is the table's expansion on the full matrix
-            assert A.det("cofactor") == A.det("berkowitz")
+            assert det_by(_det_cofactor, A) == det_by(_det_berkowitz, A)
 
     def test_table_is_freed_without_the_cycle_collector(self):
         # a memo caught in a reference cycle lingers until a full collection

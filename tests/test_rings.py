@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -83,6 +85,17 @@ class TestBasics:
         assert (y ** 2).total_degree() == 65534
         with pytest.raises(ExponentOverflowError):
             RingElement(XY, y) ** 3
+
+    def test_raw_mod_p_value_must_be_canonical(self):
+        # RingElement(F7, 9) once printed 2 but was != F7.element(2), and
+        # RingElement(F7, 7) was zero by is_zero() but != 0
+        for v in (7, 9, -1):
+            with pytest.raises(BadRingError):
+                RingElement(F7, v)
+        assert F7.element(9) == F7.element(2) == 2
+        assert F7.element(7).is_zero() and F7.element(7) == 0
+        assert str(F7.element(-1)) == "6"
+        assert RingElement(ZZ, -9).value == -9
 
     def test_neg_and_pow(self):
         assert -F7.element(3) == F7.element(4)
@@ -197,6 +210,20 @@ class TestCanonicalText:
 
     def test_whitespace_insignificant(self):
         assert XY.parse(" x ^ 2+  3 * y ") == XY.parse("x^2+3*y")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer text"
+    )
+    def test_parse_number_past_digit_limit_is_parse_error(self):
+        # int() raises ValueError past the limit; it once ended in a traceback
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for text in ("7" * 5000 + "*x", "x^" + "7" * 5000):
+                with pytest.raises(ParseError):
+                    XY.parse(text)
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 coeffs = st.integers(min_value=-99, max_value=99)

@@ -5,7 +5,7 @@ import pytest
 
 from mvvand import vandermonde
 from mvvand.errors import BadIndexError, ShapeError
-from mvvand.matrix import ExactMatrix, random_matrix, seeded_rng
+from mvvand.matrix import ExactMatrix, _det_berkowitz, _det_cofactor, random_matrix, seeded_rng
 from mvvand.rings import Polynomial, PolynomialRing, PrimeField, RingElement, ZZ
 from mvvand.selftest import dual_identity
 from mvvand.vandermonde import (
@@ -27,7 +27,7 @@ from mvvand.vandermonde import (
     veronese_matrix,
 )
 
-from oracles import eta_matrix_by_tuples, matmul, minor_product_lex, sym_power_by_tuples
+from oracles import det_by, eta_matrix_by_tuples, matmul, minor_product_lex, sym_power_by_tuples
 
 WORKED = ExactMatrix.from_rows(ZZ, [[1, 0], [0, 1], [1, 1]])
 
@@ -134,7 +134,7 @@ class TestMinorMatrix:
         X = random_matrix(ring, m, ncols, seeded_rng("muorder", m))
         cols = range(ncols)
         expect = [
-            [X.submatrix(taken, [c for c in cols if c != j]).det("berkowitz") for j in cols]
+            [det_by(_det_berkowitz, X.submatrix(taken, [c for c in cols if c != j])) for j in cols]
             for taken in _lex_on_omitted(m, ncols - 1)
         ]
         out = mu_matrix(X)
@@ -263,7 +263,7 @@ class TestSymPower:
     def test_symbolic_two_by_two(self):
         ring = PolynomialRing(["a", "b", "c", "d"])
         u = ExactMatrix.from_rows(ring, [["a", "b"], ["c", "d"]])
-        det = sym_power_matrix(u, 2).det("cofactor")
+        det = det_by(_det_cofactor, sym_power_matrix(u, 2))
         assert det == ring.element("a*d - b*c") ** 3
 
     def test_functorial(self):
@@ -349,7 +349,7 @@ class TestPairing:
             for s_prime in subsets:
                 entry = RingElement(ring, ring.one)
                 for j in s_prime:
-                    entry = entry * ExactMatrix(ring, [raw[j]] + outside).det("berkowitz")
+                    entry = entry * det_by(_det_berkowitz, ExactMatrix(ring, [raw[j]] + outside))
                 row.append(entry)
             expect.append(row)
         P = pairing_matrix(X)
@@ -548,7 +548,7 @@ class TestNaiveComparison:
     def test_degree_mismatch_documented(self):
         # symbolic degrees: det(nu^2 X) has degree 12, the minor product 60
         X = symbolic_matrix(6, 3)
-        lhs = veronese_matrix(X, 2).det("cofactor")
+        lhs = det_by(_det_cofactor, veronese_matrix(X, 2))
         assert lhs.value.total_degree() == 12
         # degree of the minor product is the sum of the factor degrees;
         # expanding the product itself is far too large to be worthwhile
