@@ -1,7 +1,7 @@
 """Immutable dense matrices over a ring, with one exact determinant kernel per
 ring kind (packed Gaussian elimination over Z/p, fraction-free Bareiss over Z,
-cofactor expansion over Z[x]) and Berkowitz as an oracle, minor extraction, and
-a lazy minor table that shares sub-minors between the minors it is asked for.
+cofactor expansion over Z[x]) and Berkowitz as an oracle, and a lazy minor
+table that shares sub-minors between the minors it is asked for.
 """
 from __future__ import annotations
 
@@ -37,25 +37,10 @@ class ExactMatrix:
     def from_rows(cls, ring: Ring, rows) -> "ExactMatrix":
         return cls(ring, [[ring.coerce(v) for v in row] for row in rows])
 
-    @classmethod
-    def identity(cls, ring: Ring, n: int) -> "ExactMatrix":
-        one, zero = ring.one, ring.zero
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
     # -- access -------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> RingElement:
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise BadIndexError(f"entry ({i},{j}) out of range")
-        return RingElement(self.ring, self._rows[i][j])
-
-    def row(self, i: int) -> tuple:
-        if not 0 <= i < self.nrows:
-            raise BadIndexError(f"row {i} out of range")
-        return tuple(RingElement(self.ring, v) for v in self._rows[i])
-
     def rows_raw(self) -> tuple:
-        """Raw entries; internal use by the algorithms in this package."""
+        """Raw entries, row by row, as a tuple of tuples."""
         return self._rows
 
     @property
@@ -75,22 +60,6 @@ class ExactMatrix:
         return f"ExactMatrix({self.ring.describe()}, {self.nrows}x{self.ncols})"
 
     # -- shape operations ---------------------------------------------------
-
-    def _check_rows_cols(self, rows, cols):
-        rows, cols = tuple(rows), tuple(cols)
-        for i in rows:
-            if not 0 <= i < self.nrows:
-                raise BadIndexError(f"row {i} out of range")
-        for j in cols:
-            if not 0 <= j < self.ncols:
-                raise BadIndexError(f"column {j} out of range")
-        return rows, cols
-
-    def submatrix(self, rows, cols) -> "ExactMatrix":
-        rows, cols = self._check_rows_cols(rows, cols)
-        return ExactMatrix(
-            self.ring, [[self._rows[i][j] for j in cols] for i in rows]
-        )
 
     def scale_column(self, col: int, alpha) -> "ExactMatrix":
         if not 0 <= col < self.ncols:
@@ -146,10 +115,14 @@ class ExactMatrix:
         rows, cols = tuple(rows), tuple(cols)
         if len(rows) != len(cols):
             raise BadIndexError("row and column selections differ in length")
-        for sel in (rows, cols):
+        for sel, size in ((rows, self.nrows), (cols, self.ncols)):
             if any(a >= b for a, b in zip(sel, sel[1:])):
                 raise BadIndexError("index lists must be strictly increasing")
-        return self.submatrix(rows, cols).det()
+            # strictly increasing, so its two ends bound every index
+            if sel and not 0 <= sel[0] <= sel[-1] < size:
+                raise BadIndexError(f"index out of range 0..{size - 1}")
+        sub = [[self._rows[i][j] for j in cols] for i in rows]
+        return ExactMatrix(self.ring, sub).det()
 
     # -- shared file format -------------------------------------------------
 
@@ -168,9 +141,6 @@ class ExactMatrix:
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ShapeError("matrix document rows are not a list of lists")
         return cls(ring, [[ring.parse(str(v)) for v in r] for r in rows])
-
-    def save(self, path) -> None:
-        Path(path).write_text(dumps_doc(self.to_doc()))
 
     @classmethod
     def load(cls, path) -> "ExactMatrix":

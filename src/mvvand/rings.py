@@ -256,7 +256,10 @@ def is_prime(n: int) -> bool:
     :class:`BadRingError`, since a composite could pass.
     """
     if n >= _MR_LIMIT:
-        raise BadRingError(f"{n} is past the deterministic primality bound {_MR_LIMIT}")
+        # the size, not the digits: past 4,300 digits int-to-text raises
+        raise BadRingError(
+            f"{n.bit_length()}-bit number is past the deterministic primality bound {_MR_LIMIT}"
+        )
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -285,6 +288,23 @@ def is_prime(n: int) -> bool:
 DEFAULT_PRIME = 1_000_003
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_DIGITS_RE = re.compile(r"\s*[-+]?(\d+)\s*\Z")
+
+
+def _read_int(text: str) -> int:
+    """The one reader of integer text: entries over Z and Z/p, numbers in
+    polynomial text, and a modulus given as a string.  int() refuses a digit
+    string past sys.get_int_max_str_digits(); that is reported by its length,
+    as echoing the text back would make a message of any size."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = _DIGITS_RE.match(text)
+        if digits:
+            raise ParseError(
+                f"{len(digits.group(1))}-digit integer is past the limit on integer text"
+            ) from None
+        raise ParseError(f"not an integer: {text!r}") from None
 
 
 class Ring:
@@ -307,16 +327,12 @@ class Ring:
     def format(self, a) -> str:
         return str(a)
 
-    def element(self, v) -> "RingElement":
-        return RingElement(self, self.coerce(v))
-
-    @property
-    def zero_elem(self) -> "RingElement":
-        return RingElement(self, self.zero)
-
     @property
     def one_elem(self) -> "RingElement":
         return RingElement(self, self.one)
+
+    def parse(self, text: str):
+        return self.from_int(_read_int(text))
 
     def coerce(self, v):
         if isinstance(v, RingElement):
@@ -333,8 +349,8 @@ class Ring:
     def __hash__(self):
         return hash(self.describe())
 
-    # subclasses: zero, one, exact_div, from_int, parse, random_entry,
-    # describe, to_doc; PolynomialRing also is_zero and format
+    # subclasses: zero, one, exact_div, from_int, random_entry, describe,
+    # to_doc; PolynomialRing also is_zero, format, coerce and parse
 
 
 class IntegerRing(Ring):
@@ -354,12 +370,6 @@ class IntegerRing(Ring):
 
     def from_int(self, k: int):
         return int(k)
-
-    def parse(self, text: str):
-        try:
-            return int(text)
-        except ValueError:
-            raise ParseError(f"not an integer: {text!r}") from None
 
     def random_entry(self, rng):
         # sampling convention for randomized suites
@@ -394,12 +404,6 @@ class PrimeField(Ring):
 
     def from_int(self, k: int):
         return k % self.modulus
-
-    def parse(self, text: str):
-        try:
-            return int(text) % self.modulus
-        except ValueError:
-            raise ParseError(f"not an integer: {text!r}") from None
 
     def random_entry(self, rng):
         return rng.randrange(self.modulus)
@@ -540,18 +544,12 @@ class PolynomialRing(Ring):
             pos += 1
             return t
 
-        def number(t):
-            try:
-                return int(t)
-            except ValueError:  # past sys.get_int_max_str_digits()
-                raise ParseError(f"{len(t)}-digit number in polynomial text") from None
-
         def parse_factor():
             t = take()
             if t is None:
                 raise ParseError("unexpected end of polynomial text")
             if t.isdigit():
-                return number(t), {}
+                return _read_int(t), {}
             if _NAME_RE.match(t):
                 if t not in self._index:
                     raise ParseError(f"unknown variable: {t!r}")
@@ -561,7 +559,7 @@ class PolynomialRing(Ring):
                     exp = take()
                     if exp is None or not exp.isdigit():
                         raise ParseError("expected integer exponent after '^'")
-                    e = number(exp)
+                    e = _read_int(exp)
                 return 1, {self._index[t]: e}
             raise ParseError(f"unexpected token {t!r}")
 
@@ -606,14 +604,12 @@ def ring_from_doc(doc: dict) -> Ring:
         if "modulus" not in doc:
             raise ParseError("mod_p ring requires a modulus")
         modulus = doc["modulus"]
+        if isinstance(modulus, str):
+            modulus = _read_int(modulus)
         # int() would truncate a JSON float and read a bool as 0 or 1
-        if not isinstance(modulus, (str, int)) or isinstance(modulus, bool):
+        if not isinstance(modulus, int) or isinstance(modulus, bool):
             raise ParseError(f"bad modulus: {modulus!r}")
-        try:
-            p = int(modulus)
-        except ValueError:
-            raise ParseError(f"bad modulus: {modulus!r}") from None
-        return PrimeField(p)
+        return PrimeField(modulus)
     if kind == "poly":
         variables = doc.get("variables")
         if not variables or not isinstance(variables, list):
@@ -636,7 +632,7 @@ class RingElement:
     __slots__ = ("ring", "value")
 
     def __init__(self, ring: Ring, value):
-        # over Z/p a raw value is canonical, in [0, p); Ring.element reduces
+        # over Z/p a raw value is canonical, in [0, p); Ring.coerce reduces
         p = ring.modulus
         if p and not 0 <= value < p:
             raise BadRingError(f"{ring.describe()} values must lie in [0, {p})")
@@ -691,12 +687,6 @@ class RingElement:
             raise ValueError("exponent must be a nonnegative integer")
         p = self.ring.modulus
         return RingElement(self.ring, pow(self.value, e, p) if p else self.value ** e)
-
-    def exact_div(self, other) -> "RingElement":
-        v = self._raw(other)
-        if v is NotImplemented:
-            raise RingMismatchError("cannot divide by a value outside the ring")
-        return RingElement(self.ring, self.ring.exact_div(self.value, v))
 
     def is_zero(self) -> bool:
         return self.ring.is_zero(self.value)

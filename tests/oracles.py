@@ -1,10 +1,27 @@
-"""Reference computations that tests compare the package against; the
-package itself has no use for them."""
+"""Reference computations that tests compare the package against, and small
+builders for the tests; the package itself has no use for them."""
 from itertools import combinations
 
 from mvvand.errors import RingMismatchError
 from mvvand.matrix import ExactMatrix, _det_bareiss
 from mvvand.rings import ZZ, Polynomial, PolynomialRing, RingElement, _EXP_BITS
+
+
+def elem(ring, v) -> RingElement:
+    """Element of ``ring`` from an int, an element, or polynomial text."""
+    return RingElement(ring, ring.coerce(v))
+
+
+def identity(ring, n: int) -> ExactMatrix:
+    """The n x n identity matrix over ``ring``."""
+    one, zero = ring.one, ring.zero
+    return ExactMatrix(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def submatrix(M: ExactMatrix, rows, cols) -> ExactMatrix:
+    """The entries of M on the given rows and columns, in the order given."""
+    raw = M.rows_raw()
+    return ExactMatrix(M.ring, [[raw[i][j] for j in cols] for i in rows])
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

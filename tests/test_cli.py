@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 from mvvand.cli import cli
 from mvvand.errors import BadRingError, ShapeError
-from mvvand.matrix import ExactMatrix
+from mvvand.matrix import ExactMatrix, dumps_doc
 from mvvand.rings import ZZ
 
 WORKED_DOC = {"ring": "int", "rows": [["1", "0"], ["0", "1"], ["1", "1"]]}
@@ -57,7 +57,7 @@ class TestConstructors:
 
     def test_eta_degree_one_echoes(self, runner, tmp_path):
         path = tmp_path / "sq.json"
-        ExactMatrix.from_rows(ZZ, [[1, 2], [3, 4]]).save(path)
+        path.write_text(dumps_doc(ExactMatrix.from_rows(ZZ, [[1, 2], [3, 4]]).to_doc()))
         result, doc = run_json(runner, ["eta", "--input", str(path)])
         assert doc["rows"] == [["1", "2"], ["3", "4"]]
 
@@ -69,7 +69,7 @@ class TestConstructors:
 
     def test_sym(self, runner, tmp_path):
         path = tmp_path / "u.json"
-        ExactMatrix.from_rows(ZZ, [[2, 0], [0, 3]]).save(path)
+        path.write_text(dumps_doc(ExactMatrix.from_rows(ZZ, [[2, 0], [0, 3]]).to_doc()))
         result, doc = run_json(runner, ["sym", "--input", str(path), "--d", "2"])
         assert doc["rows"] == [["4", "0", "0"], ["0", "6", "0"], ["0", "0", "9"]]
 
@@ -293,6 +293,12 @@ class TestErrors:
             ('{"ring": "mod_p", "modulus": true, "rows": [["1", "0"], ["0", "1"]]}', "parse-error"),
             # the JSON reader raised RecursionError
             pytest.param("[" * 200_000 + "]" * 200_000, "parse-error", id="nested-200000-deep"),
+            # the primality bound's message once held all 5,000 digits
+            pytest.param(
+                json.dumps({"ring": "mod_p", "modulus": "7" * 5000, "rows": [["1"]]}),
+                "bad-ring",
+                id="modulus-5000-digits",
+            ),
         ],
     )
     def test_malformed_file(self, tmp_path, text, code):
@@ -302,6 +308,7 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error:{code}:")
         assert len(proc.stderr.splitlines()) == 1
+        assert len(proc.stderr) < 200, proc.stderr[:200]
 
     def test_results_past_the_digit_limit_are_written(self, tmp_path):
         # main() lifts the interpreter's 4,300-digit limit on integer text:

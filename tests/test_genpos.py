@@ -99,7 +99,7 @@ class TestVerdicts:
         vanishing = [
             taken
             for taken in combinations(range(11), 4)
-            if cfg.matrix.submatrix(taken, range(4)).det().is_zero()
+            if cfg.matrix.minor(taken, range(4)).is_zero()
         ]
         assert (2, 3, 4, 5) in vanishing
         assert min(vanishing) == (0, 1, 9, 10)

@@ -19,7 +19,7 @@ from mvvand.matrix import (
     seeded_rng,
 )
 from mvvand.rings import Polynomial, PolynomialRing, PrimeField, ZZ
-from oracles import det_by, det_mod_p
+from oracles import det_by, det_mod_p, identity, submatrix
 
 XYZ = PolynomialRing(["x", "y", "z"])
 XY = PolynomialRing(["x", "y"])
@@ -31,7 +31,7 @@ def M(rows, ring=ZZ):
 
 class TestDeterminant:
     def test_identity(self):
-        assert ExactMatrix.identity(ZZ, 3).det() == 1
+        assert identity(ZZ, 3).det() == 1
 
     def test_two_by_two(self):
         assert M([[0, 1], [1, 1]]).det() == -1
@@ -240,7 +240,7 @@ class TestMinors:
         for k in range(min(A.nrows, A.ncols) + 1):
             for rows in combinations(range(A.nrows), k):
                 for cols in combinations(range(A.ncols), k):
-                    expected = det_by(_det_berkowitz, A.submatrix(rows, cols)).value
+                    expected = det_by(_det_berkowitz, submatrix(A, rows, cols)).value
                     assert minor(rows, cols) == expected
         if A.is_square:
             # the cofactor kernel is the table's expansion on the full matrix
@@ -265,24 +265,27 @@ class TestMinors:
         assert A.minor(range(4), range(4)) == A.det()
 
     def test_identity_minor(self):
-        assert ExactMatrix.identity(ZZ, 3).minor([0, 1], [0, 1]) == 1
+        assert identity(ZZ, 3).minor([0, 1], [0, 1]) == 1
 
     def test_hand_minor(self):
         assert M([[1, 0], [0, 1], [1, 1]]).minor([1, 2], [0, 1]) == -1
 
     def test_bad_selections(self):
-        A = ExactMatrix.identity(ZZ, 3)
-        with pytest.raises(BadIndexError):
-            A.minor([1, 0], [0, 1])  # not increasing
-        with pytest.raises(BadIndexError):
-            A.minor([0, 1], [0, 3])  # out of range
-        with pytest.raises(BadIndexError):
-            A.minor([0, 1], [0])  # length mismatch
+        A = identity(ZZ, 3)
+        for rows, cols in (
+            ([1, 0], [0, 1]),  # not increasing
+            ([0, 1], [0, 3]),  # column out of range
+            ([0, 3], [0, 1]),  # row out of range
+            ([-1, 0], [0, 1]),  # negative: indexing would read the last row
+            ([0, 1], [0]),  # length mismatch
+        ):
+            with pytest.raises(BadIndexError):
+                A.minor(rows, cols)
 
 
 class TestColumnOps:
     def test_add_scaled_column(self):
-        out = ExactMatrix.identity(ZZ, 2).add_scaled_column(0, 1, 1)
+        out = identity(ZZ, 2).add_scaled_column(0, 1, 1)
         assert out == M([[1, 1], [0, 1]])
 
     def test_scale_column(self):
@@ -290,20 +293,14 @@ class TestColumnOps:
         assert out == M([[2, 0], [0, 1], [2, 1]])
 
     def test_original_unchanged(self):
-        A = ExactMatrix.identity(ZZ, 2)
+        A = identity(ZZ, 2)
         A.add_scaled_column(0, 1, 5)
-        assert A == ExactMatrix.identity(ZZ, 2)
+        assert A == identity(ZZ, 2)
 
     def test_det_invariance_under_add_scaled(self):
         for t in range(25):
             A = random_matrix(ZZ, 4, 4, seeded_rng("addcol", t))
             assert A.add_scaled_column(1, 3, 7).det() == A.det()
-
-    def test_submatrix(self):
-        A = M([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        assert A.submatrix([0, 2], [1]) == M([[2], [8]])
-        with pytest.raises(BadIndexError):
-            A.submatrix([0, 3], [0])
 
 
 class TestFileFormat:
@@ -318,12 +315,11 @@ class TestFileFormat:
     def test_roundtrip(self, tmp_path, ring, rows):
         A = ExactMatrix.from_rows(ring, rows)
         path = tmp_path / "m.json"
-        A.save(path)
+        path.write_text(dumps_doc(A.to_doc()))
         B = ExactMatrix.load(path)
         assert A == B
         # canonical serialization is bit-exact under a reload cycle
-        B.save(tmp_path / "m2.json")
-        assert (tmp_path / "m.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+        assert dumps_doc(B.to_doc()) == path.read_text()
 
     def test_doc_fields(self):
         doc = ExactMatrix.from_rows(PrimeField(17), [[5]]).to_doc()

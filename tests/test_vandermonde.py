@@ -27,7 +27,16 @@ from mvvand.vandermonde import (
     veronese_matrix,
 )
 
-from oracles import det_by, eta_matrix_by_tuples, matmul, minor_product_lex, sym_power_by_tuples
+from oracles import (
+    det_by,
+    elem,
+    eta_matrix_by_tuples,
+    identity,
+    matmul,
+    minor_product_lex,
+    submatrix,
+    sym_power_by_tuples,
+)
 
 WORKED = ExactMatrix.from_rows(ZZ, [[1, 0], [0, 1], [1, 1]])
 
@@ -55,7 +64,7 @@ class TestMonomialBasis:
         )
         S = sym_power_matrix(u, d)
         expect = [prod(p**k for p, k in zip(primes, e)) for e in brute]
-        assert [S.entry(i, i) for i in range(S.nrows)] == expect
+        assert [S.rows_raw()[i][i] for i in range(S.nrows)] == expect
 
     def test_count(self):
         for n in range(1, 5):
@@ -72,11 +81,11 @@ class TestVeronese:
         ring = PolynomialRing(["x", "y"])
         X = ExactMatrix.from_rows(ring, [["x", "y"]])
         out = veronese_matrix(X, 2)
-        assert [str(v) for v in out.row(0)] == ["x^2", "x*y", "y^2"]
+        assert [ring.format(v) for v in out.rows_raw()[0]] == ["x^2", "x*y", "y^2"]
 
     def test_basis_row_maps_to_unit(self):
         X = ExactMatrix.from_rows(ZZ, [[1, 0, 0]])
-        assert veronese_matrix(X, 3).row(0) == ExactMatrix.identity(ZZ, 10).row(0)
+        assert veronese_matrix(X, 3).rows_raw()[0] == identity(ZZ, 10).rows_raw()[0]
 
     def test_worked_rows(self):
         out = veronese_matrix(ExactMatrix.from_rows(ZZ, [[1, 1], [1, 0], [0, 1]]), 2)
@@ -106,7 +115,7 @@ ORDER_CASES = [
 
 class TestMinorMatrix:
     def test_identity(self):
-        assert mu_matrix(ExactMatrix.identity(ZZ, 3)) == ExactMatrix.identity(ZZ, 3)
+        assert mu_matrix(identity(ZZ, 3)) == identity(ZZ, 3)
 
     def test_worked_example(self):
         assert mu_matrix(WORKED) == ExactMatrix.from_rows(ZZ, [[1, 1], [1, 0], [0, 1]])
@@ -134,11 +143,11 @@ class TestMinorMatrix:
         X = random_matrix(ring, m, ncols, seeded_rng("muorder", m))
         cols = range(ncols)
         expect = [
-            [det_by(_det_berkowitz, X.submatrix(taken, [c for c in cols if c != j])) for j in cols]
+            [det_by(_det_berkowitz, submatrix(X, taken, [c for c in cols if c != j])).value
+             for j in cols]
             for taken in _lex_on_omitted(m, ncols - 1)
         ]
-        out = mu_matrix(X)
-        assert [list(out.row(r)) for r in range(out.nrows)] == expect
+        assert mu_matrix(X) == ExactMatrix(ring, expect)
 
     def test_row_permutation_acts_on_omitted_sets(self):
         X = random_matrix(ZZ, 4, 3, seeded_rng("muperm"))
@@ -151,8 +160,8 @@ class TestMinorMatrix:
                 image = [perm[i] for i in taken]
                 sign = -1 if _inversions(image) % 2 else 1
                 target = subsets.index(tuple(sorted(image)))
-                assert [v.value for v in mup.row(r)] == [
-                    sign * v.value for v in mu.row(target)
+                assert list(mup.rows_raw()[r]) == [
+                    sign * v for v in mu.rows_raw()[target]
                 ]
 
 
@@ -171,7 +180,7 @@ class TestMinorProduct:
         expect = ring.one_elem
         for i in range(3):
             for j in range(i + 1, 3):
-                expect = expect * ring.element(f"X{i}*Y{j} - X{j}*Y{i}")
+                expect = expect * elem(ring, f"X{i}*Y{j} - X{j}*Y{i}")
         assert mu_prime(X) == expect
 
     def test_empty_product_is_one(self):
@@ -231,12 +240,11 @@ class TestEta:
             for choice in product(range(ncols), repeat=d):
                 term = RingElement(ring, ring.one)
                 for i, k in zip(taken, choice):
-                    term = term * X.entry(i, k)
+                    term = term * RingElement(ring, X.rows_raw()[i][k])
                 exps = tuple(choice.count(k) for k in range(ncols))
                 coeffs[exps] = coeffs.get(exps, RingElement(ring, ring.zero)) + term
-            expect.append([coeffs[e] for e in monomial_basis(ncols - 1, d)])
-        out = eta_matrix(X)
-        assert [list(out.row(r)) for r in range(out.nrows)] == expect
+            expect.append([coeffs[e].value for e in monomial_basis(ncols - 1, d)])
+        assert eta_matrix(X) == ExactMatrix(ring, expect)
 
     def test_shape_check(self):
         # a 1x3 matrix has n = 2 and so d = 1 - 2 < 0
@@ -256,15 +264,13 @@ class TestSymPower:
 
     def test_identity(self):
         for m, d in ((2, 3), (3, 2), (4, 1)):
-            assert sym_power_matrix(
-                ExactMatrix.identity(ZZ, m), d
-            ) == ExactMatrix.identity(ZZ, comb(m + d - 1, d))
+            assert sym_power_matrix(identity(ZZ, m), d) == identity(ZZ, comb(m + d - 1, d))
 
     def test_symbolic_two_by_two(self):
         ring = PolynomialRing(["a", "b", "c", "d"])
         u = ExactMatrix.from_rows(ring, [["a", "b"], ["c", "d"]])
         det = det_by(_det_cofactor, sym_power_matrix(u, 2))
-        assert det == ring.element("a*d - b*c") ** 3
+        assert det == elem(ring, "a*d - b*c") ** 3
 
     def test_functorial(self):
         for t in range(10):
@@ -323,7 +329,7 @@ class TestLinearFormExpansion:
         assert eta_matrix(X) == expect
         # the row choices that take the zero row give zero rows
         zero_rows = [r for r, taken in enumerate(combinations(range(4), 2)) if 1 in taken]
-        assert all(v.is_zero() for r in zero_rows for v in expect.row(r))
+        assert all(ring.is_zero(v) for r in zero_rows for v in expect.rows_raw()[r])
         u = _linear_forms(ring, rows[:3])
         for d in range(4):
             assert sym_power_matrix(u, d) == sym_power_by_tuples(u, _exponents(3, d))
@@ -350,10 +356,9 @@ class TestPairing:
                 entry = RingElement(ring, ring.one)
                 for j in s_prime:
                     entry = entry * det_by(_det_berkowitz, ExactMatrix(ring, [raw[j]] + outside))
-                row.append(entry)
+                row.append(entry.value)
             expect.append(row)
-        P = pairing_matrix(X)
-        assert [list(P.row(r)) for r in range(P.nrows)] == expect
+        assert pairing_matrix(X) == ExactMatrix(ring, expect)
 
     @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (2, 3)])
     def test_one_det_per_block(self, n, d, monkeypatch):
@@ -377,7 +382,7 @@ class TestPairing:
                 for i in range(P.nrows):
                     for j in range(P.ncols):
                         if i != j:
-                            assert P.entry(i, j).is_zero()
+                            assert P.rows_raw()[i][j] == 0
 
     @pytest.mark.parametrize("n,d", [(1, 1), (1, 4), (2, 3), (3, 2), (2, 4)])
     def test_sign_formula_counts_transpositions(self, n, d):
@@ -418,7 +423,7 @@ class TestVerifyHdv:
 
     def test_identity_degree_one(self):
         for n in range(1, 4):
-            report = verify_hdv(ExactMatrix.identity(ZZ, n + 1))
+            report = verify_hdv(identity(ZZ, n + 1))
             assert report.verdict == "equal" and report.lhs == 1
 
     def test_symbolic_projective_line_matches_product_formula(self):
@@ -520,7 +525,7 @@ class TestVerifySymPower:
         assert report.verdict == "equal" and report.lhs == 216
 
     def test_identity(self):
-        report = verify_sym_power(ExactMatrix.identity(ZZ, 3), 2)
+        report = verify_sym_power(identity(ZZ, 3), 2)
         assert report.verdict == "equal" and report.lhs == 1
 
     def test_symbolic(self):
