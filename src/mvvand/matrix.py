@@ -146,7 +146,8 @@ class ExactMatrix:
     def load(cls, path) -> "ExactMatrix":
         try:
             doc = json.loads(Path(path).read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # ValueError: a decode error, or a bare integer past the digit limit
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path} is not a JSON document: {exc}") from None
         return cls.from_doc(doc)
 

@@ -20,6 +20,18 @@ from .errors import (
     RingMismatchError,
 )
 
+
+def _show(value) -> str:
+    """Outside input as a message names it: an int past 128 bits by its size,
+    as int-to-text may be refused and has no bound; text, or the repr of any
+    other value, cut to 40 characters and then followed by its length."""
+    if isinstance(value, int) and value.bit_length() > 128:
+        return f"{'negative ' if value < 0 else ''}{value.bit_length()}-bit number"
+    text = value if isinstance(value, str) else repr(value)
+    shown = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return shown if len(text) <= 40 else f"{shown}... ({len(text)} characters)"
+
+
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials
 
@@ -256,10 +268,7 @@ def is_prime(n: int) -> bool:
     :class:`BadRingError`, since a composite could pass.
     """
     if n >= _MR_LIMIT:
-        # the size, not the digits: past 4,300 digits int-to-text raises
-        raise BadRingError(
-            f"{n.bit_length()}-bit number is past the deterministic primality bound {_MR_LIMIT}"
-        )
+        raise BadRingError(f"{_show(n)} is past the deterministic primality bound {_MR_LIMIT}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -287,15 +296,20 @@ def is_prime(n: int) -> bool:
 
 DEFAULT_PRIME = 1_000_003
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME + r"\Z")
+_FACTOR = rf"(?:\d+|{_NAME}(?:\s*\^\s*\d+)?)"
+# a term of polynomial text, its factors in group 2; the sign takes its own
+# space, as two \s* around an empty match make a failed match quadratic
+_TERM_RE = re.compile(rf"\s*(?:([-+])\s*)?({_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*")
+_FACTOR_RE = re.compile(rf"(\d+)|({_NAME})(?:\s*\^\s*(\d+))?")
 _DIGITS_RE = re.compile(r"\s*[-+]?(\d+)\s*\Z")
 
 
 def _read_int(text: str) -> int:
     """The one reader of integer text: entries over Z and Z/p, numbers in
     polynomial text, and a modulus given as a string.  int() refuses a digit
-    string past sys.get_int_max_str_digits(); that is reported by its length,
-    as echoing the text back would make a message of any size."""
+    string past sys.get_int_max_str_digits(); that is reported by its length."""
     try:
         return int(text)
     except ValueError:
@@ -304,7 +318,7 @@ def _read_int(text: str) -> int:
             raise ParseError(
                 f"{len(digits.group(1))}-digit integer is past the limit on integer text"
             ) from None
-        raise ParseError(f"not an integer: {text!r}") from None
+        raise ParseError(f"not an integer: {_show(text)}") from None
 
 
 class Ring:
@@ -392,7 +406,7 @@ class PrimeField(Ring):
 
     def __init__(self, p: int = DEFAULT_PRIME):
         if p < 2 or not is_prime(p):
-            raise BadRingError(f"modulus {p} is not prime")
+            raise BadRingError(f"modulus {_show(p)} is not prime")
         self.modulus = p
         self.zero = 0
         self.one = 1 % p
@@ -430,9 +444,9 @@ class PolynomialRing(Ring):
         seen = set()
         for v in names:
             if not (isinstance(v, str) and _NAME_RE.match(v)):
-                raise BadRingError(f"bad variable name: {v!r}")
+                raise BadRingError(f"bad variable name: {_show(v)}")
             if v in seen:
-                raise BadRingError(f"duplicate variable name: {v!r}")
+                raise BadRingError(f"duplicate variable name: {_show(v)}")
             seen.add(v)
         self.variables = names
         self.nvars = len(names)
@@ -443,7 +457,7 @@ class PolynomialRing(Ring):
     def var(self, name_or_index) -> "RingElement":
         if isinstance(name_or_index, str):
             if name_or_index not in self._index:
-                raise ParseError(f"unknown variable: {name_or_index!r}")
+                raise ParseError(f"unknown variable: {_show(name_or_index)}")
             name_or_index = self._index[name_or_index]
         return RingElement(self, Polynomial.variable(self.nvars, name_or_index))
 
@@ -522,73 +536,26 @@ class PolynomialRing(Ring):
         # the leading term carries its sign without spaces, "+" not at all
         return out[3:] if out[1] == "+" else "-" + out[3:]
 
-    _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*^])|(\S)")
-
     def parse(self, text: str) -> Polynomial:
-        """Parse the canonical grammar; inverse of :meth:`format`."""
-        tokens = []
-        for m in self._TOKEN_RE.finditer(text):
-            if m.group(4):
-                raise ParseError(f"unexpected character {m.group(4)!r}")
-            tokens.append(m.group(0))
-        if not tokens:
-            raise ParseError("empty polynomial text")
-        pos = 0
-
-        def peek():
-            return tokens[pos] if pos < len(tokens) else None
-
-        def take():
-            nonlocal pos
-            t = peek()
-            pos += 1
-            return t
-
-        def parse_factor():
-            t = take()
-            if t is None:
-                raise ParseError("unexpected end of polynomial text")
-            if t.isdigit():
-                return _read_int(t), {}
-            if _NAME_RE.match(t):
-                if t not in self._index:
-                    raise ParseError(f"unknown variable: {t!r}")
-                e = 1
-                if peek() == "^":
-                    take()
-                    exp = take()
-                    if exp is None or not exp.isdigit():
-                        raise ParseError("expected integer exponent after '^'")
-                    e = _read_int(exp)
-                return 1, {self._index[t]: e}
-            raise ParseError(f"unexpected token {t!r}")
-
-        def parse_term():
-            coeff, powers = parse_factor()
-            while peek() == "*":
-                take()
-                c2, p2 = parse_factor()
-                coeff *= c2
-                for i, e in p2.items():
-                    powers[i] = powers.get(i, 0) + e
-            return coeff, powers
-
+        """Read polynomial text: terms joined by + or -, the first with an
+        optional sign; a term is numbers and variables joined by *, each variable
+        with an optional ^ power; space may stand around each part."""
         items = []
-        sign = 1
-        if peek() in ("+", "-"):
-            sign = -1 if take() == "-" else 1
-        while True:
-            coeff, powers = parse_term()
-            exps = [0] * self.nvars
-            for i, e in powers.items():
-                exps[i] = e
-            items.append((tuple(exps), sign * coeff))
-            t = peek()
-            if t is None:
-                break
-            if t not in ("+", "-"):
-                raise ParseError(f"unexpected token {t!r}")
-            sign = -1 if take() == "-" else 1
+        pos = 0
+        while pos < len(text) or not items:
+            m = _TERM_RE.match(text, pos)
+            if not m or (items and not m.group(1)):
+                raise ParseError(f"bad polynomial text at character {pos}: {_show(text[pos:])}")
+            coeff, exps = 1, [0] * self.nvars
+            for number, name, power in _FACTOR_RE.findall(m.group(2)):
+                if number:
+                    coeff *= _read_int(number)
+                elif name in self._index:
+                    exps[self._index[name]] += _read_int(power) if power else 1
+                else:
+                    raise ParseError(f"unknown variable: {_show(name)}")
+            items.append((tuple(exps), -coeff if m.group(1) == "-" else coeff))
+            pos = m.end()
         return Polynomial.from_terms(self.nvars, items)
 
 
@@ -608,14 +575,14 @@ def ring_from_doc(doc: dict) -> Ring:
             modulus = _read_int(modulus)
         # int() would truncate a JSON float and read a bool as 0 or 1
         if not isinstance(modulus, int) or isinstance(modulus, bool):
-            raise ParseError(f"bad modulus: {modulus!r}")
+            raise ParseError(f"bad modulus: {_show(modulus)}")
         return PrimeField(modulus)
     if kind == "poly":
         variables = doc.get("variables")
         if not variables or not isinstance(variables, list):
             raise ParseError("poly ring requires a variable list")
         return PolynomialRing(variables)
-    raise ParseError(f"unknown ring kind: {kind!r}")
+    raise ParseError(f"unknown ring kind: {_show(kind)}")
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,47 @@ class TestErrors:
                 "bad-ring",
                 id="modulus-5000-digits",
             ),
+            # each of these once echoed the whole of its long text or list
+            pytest.param(
+                json.dumps({"ring": "int", "rows": [["a" * 100_000]]}),
+                "parse-error",
+                id="int-entry-100000-letters",
+            ),
+            pytest.param(
+                json.dumps({"ring": "poly", "variables": ["x"], "rows": [["x + " + "y" * 100_000]]}),
+                "parse-error",
+                id="unknown-variable-100000-characters",
+            ),
+            pytest.param(
+                json.dumps({"ring": "poly", "variables": ["!" * 100_000], "rows": [["1"]]}),
+                "bad-ring",
+                id="variable-name-100000-bangs",
+            ),
+            pytest.param(
+                json.dumps({"ring": "poly", "variables": ["x" * 100_000] * 2, "rows": [["1"]]}),
+                "bad-ring",
+                id="duplicate-variable-100000-characters",
+            ),
+            pytest.param(
+                json.dumps({"ring": "r" * 100_000, "rows": [["1"]]}),
+                "parse-error",
+                id="ring-kind-100000-characters",
+            ),
+            pytest.param(
+                json.dumps({"ring": "mod_p", "modulus": list(range(50_000)), "rows": [["1"]]}),
+                "parse-error",
+                id="modulus-list-50000-items",
+            ),
+            pytest.param(
+                json.dumps({"ring": "mod_p", "modulus": "-" + "7" * 100_000, "rows": [["1"]]}),
+                "bad-ring",
+                id="negative-modulus-100000-digits",
+            ),
+            pytest.param(
+                json.dumps({"ring": "int", "rows": [[list(range(30_000))]]}),
+                "parse-error",
+                id="list-as-entry-30000-items",
+            ),
         ],
     )
     def test_malformed_file(self, tmp_path, text, code):

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +11,7 @@ from mvvand.errors import (
     ParseError,
     RingMismatchError,
 )
-from mvvand.matrix import seeded_rng
+from mvvand.matrix import ExactMatrix, seeded_rng
 from mvvand.rings import (
     Polynomial,
     PolynomialRing,
@@ -210,9 +211,23 @@ class TestCanonicalText:
             XY.parse("x + z")
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "x +", "^2", "x^", "x//y", "3..5"):
+        for bad in (
+            "", "x +", "^2", "x^", "x//y", "3..5", "--x", "2x", "x y", "x^2^3", "x^-1",
+            "x + + y", "-", "x *", "* x", "x**2",
+        ):
             with pytest.raises(ParseError):
                 XY.parse(bad)
+
+    @pytest.mark.parametrize(
+        "text", [" " * 100_000 + "!", "x * " * 50_000 + "y^"], ids=["spaces", "product"]
+    )
+    def test_parse_fails_in_linear_time(self, text):
+        # with "\s*([-+]?)\s*" for a sign and its spaces, a failed match is
+        # quadratic in a run of spaces: minutes on the first input
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            XY.parse(text)
+        assert time.perf_counter() - start < 5
 
     def test_whitespace_insignificant(self):
         assert XY.parse(" x ^ 2+  3 * y ") == XY.parse("x^2+3*y")
@@ -220,7 +235,7 @@ class TestCanonicalText:
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer text"
     )
-    def test_parse_number_past_digit_limit_is_parse_error(self):
+    def test_parse_number_past_digit_limit_is_parse_error(self, tmp_path):
         # int() raises ValueError past the limit; it once ended in a traceback,
         # and over Z and Z/p in a message that echoed every digit
         long = "7" * 5000
@@ -231,6 +246,9 @@ class TestCanonicalText:
             (F7.parse, long),
             (ring_from_doc, {"ring": "mod_p", "modulus": long}),
         ]
+        # the JSON reader refuses an unquoted one with a bare ValueError
+        bare = tmp_path / "bare.json"
+        bare.write_text('{"ring": "int", "rows": [[' + long + "]]}")
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
@@ -238,6 +256,12 @@ class TestCanonicalText:
                 with pytest.raises(ParseError, match="5000-digit") as err:
                     read(text)
                 assert len(str(err.value)) < 200
+            with pytest.raises(ParseError, match="is not a JSON document"):
+                ExactMatrix.load(bare)
+            # the message once formatted every digit, which int-to-text refuses
+            with pytest.raises(BadRingError, match="negative 16610-bit number") as err:
+                PrimeField(-(10**5000))
+            assert len(str(err.value)) < 200
         finally:
             sys.set_int_max_str_digits(old)
         with pytest.raises(ParseError, match="^not an integer: 'abc'$"):
@@ -283,6 +307,48 @@ def test_format_matches_term_by_term_oracle(ring_poly):
     text = ring.format(p)
     assert text == format_polynomial(ring, p)
     assert ring.parse(text) == p
+
+
+LOOSE = PolynomialRing(["x", "y2", "z_b"])
+blank = st.sampled_from(["", "", " ", "\t", "\n", " \t\n "])
+
+
+@st.composite
+def loose_text(draw):
+    """Text that the reader accepts but format() never writes, and the
+    (exponents, coefficient) terms it stands for: space around every token,
+    an optional leading sign, several numbers and repeated or zeroth powers in
+    one term, zero coefficients, and terms in any order."""
+    text, items = draw(blank), []
+    for t in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(["-", "+"] if t else ["", "-", "+"]))
+        coeff, exps, factors = 1, [0] * LOOSE.nvars, []
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                k = draw(st.integers(0, 12))
+                coeff *= k
+                factors.append(str(k))
+            else:
+                i = draw(st.integers(0, LOOSE.nvars - 1))
+                e = draw(st.none() | st.integers(0, 3))
+                exps[i] += 1 if e is None else e
+                power = "" if e is None else draw(blank) + "^" + draw(blank) + str(e)
+                factors.append(LOOSE.variables[i] + power)
+        body = factors[0]
+        for f in factors[1:]:
+            body += draw(blank) + "*" + draw(blank) + f
+        text += sign + draw(blank) + body + draw(blank)
+        items.append((tuple(exps), -coeff if sign == "-" else coeff))
+    return text, items
+
+
+@settings(deadline=None, max_examples=300)
+@given(loose_text())
+@example(("  -2*3*x*x^2 + y2^0\t- z_b\n", [((3, 0, 0), -6), ((0, 0, 0), 1), ((0, 0, 1), -1)]))
+@example(("0*x + x", [((1, 0, 0), 0), ((1, 0, 0), 1)]))
+def test_parse_loose_text_matches_its_terms(case):
+    text, items = case
+    assert LOOSE.parse(text) == Polynomial.from_terms(LOOSE.nvars, items)
 
 
 def test_format_of_formal_minor_product_matches_oracle():
