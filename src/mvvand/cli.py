@@ -9,7 +9,6 @@ them directly.  Errors exit nonzero with a single machine-parsable line
 from __future__ import annotations
 
 import sys
-from math import comb
 
 import click
 from click.core import ParameterSource
@@ -24,7 +23,7 @@ from .genpos import (
     in_general_position_via_eta,
 )
 from .matrix import ExactMatrix, dumps_doc, random_matrix, seeded_rng
-from .rings import DEFAULT_PRIME, PrimeField, ZZ
+from .rings import DEFAULT_PRIME, PrimeField, ZZ, _show
 from .selftest import run_all
 from .vandermonde import (
     SYMBOLIC_CAP,
@@ -44,15 +43,15 @@ from .vandermonde import (
 
 
 def _wide(n, d):
-    return (n + d, n + 1), comb(n + d, n)
+    return (n + d, n + 1), (n + d, n)
 
 
 def _square(n, d):
-    return (n, n), comb(n + d - 1, d)
+    return (n, n), (n + d - 1, d)
 
 
-# identity -> (shape and determinant order of a generated matrix, verifier);
-# naive builds its own matrix from --n, --d and --seed
+# identity -> (shape of a generated matrix and the (top, k) of its determinant
+# order C(top, k), verifier); naive builds its own matrix from --n, --d and --seed
 VERIFIERS = {
     "hdv": (_wide, lambda X, o: verify_hdv(X)),
     "dual": (_wide, lambda X, o: verify_dual(X)),
@@ -192,12 +191,21 @@ def _options_read(identity, input_, symbolic, ring):
 def _generated_matrix(identity, shape_order, n, d, ring, modulus, seed, symbolic,
                       symbolic_cap, **_):
     if n < 1 or d < 0:
-        raise ShapeError(f"verify {identity} needs n >= 1 and d >= 0, got n={n}, d={d}")
-    shape, order = shape_order(n, d)
+        raise ShapeError(
+            f"verify {identity} needs n >= 1 and d >= 0, got n={_show(n)}, d={_show(d)}"
+        )
+    shape, (top, k) = shape_order(n, d)
     if symbolic:
+        # C(top, k) factor by factor until past the cap: the partial products
+        # C(top - k + i, i) rise to it and at least double, as k <= top - k
+        k, order, i = min(k, top - k), 1, 0
+        while i < k and order <= symbolic_cap:
+            i += 1
+            order = order * (top - k + i) // i
         if order > symbolic_cap:
+            name = _show(order) if i == k else f"C({_show(top)}, {_show(k)})"
             raise SymbolicCapError(
-                f"symbolic order {order} exceeds cap {symbolic_cap}; raise --symbolic-cap"
+                f"symbolic order {name} exceeds cap {_show(symbolic_cap)}; raise --symbolic-cap"
             )
         return symbolic_matrix(*shape)
     field = PrimeField(DEFAULT_PRIME if modulus is None else modulus) if ring == "mod_p" else ZZ

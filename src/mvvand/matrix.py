@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 from .errors import BadIndexError, BadRingError, ParseError, ShapeError
-from .rings import Ring, RingElement, ring_from_doc
+from .rings import Ring, RingElement, _show, ring_from_doc
 
 
 class ExactMatrix:
@@ -63,7 +63,7 @@ class ExactMatrix:
 
     def scale_column(self, col: int, alpha) -> "ExactMatrix":
         if not 0 <= col < self.ncols:
-            raise BadIndexError(f"column {col} out of range")
+            raise BadIndexError(f"column {_show(col)} out of range")
         a = self.ring.coerce(alpha)
         reduce = self.ring.reduce
         return ExactMatrix(
@@ -78,7 +78,7 @@ class ExactMatrix:
         """Column operation: dst += alpha * src."""
         for j in (src, dst):
             if not 0 <= j < self.ncols:
-                raise BadIndexError(f"column {j} out of range")
+                raise BadIndexError(f"column {_show(j)} out of range")
         a = self.ring.coerce(alpha)
         reduce = self.ring.reduce
         return ExactMatrix(

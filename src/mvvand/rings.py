@@ -3,9 +3,9 @@
 Three rings are supported: arbitrary-precision integers, prime fields Z/p,
 and sparse multivariate polynomials over Z.  A :class:`Ring` instance is a
 descriptor for *raw* values (Python ints, or :class:`Polynomial`), which
-compute with Python's operators and are reduced by :meth:`Ring.reduce`;
-:class:`RingElement` pairs a raw value with its ring and checks ring
-mismatches.  All values are immutable; all operations are pure.
+compute with Python's operators and are reduced by :meth:`Ring.reduce`, the
+one arithmetic rule; :class:`RingElement` pairs a raw value with its ring, as
+a determinant or a report carries it.  All values are immutable.
 """
 from __future__ import annotations
 
@@ -341,10 +341,6 @@ class Ring:
     def format(self, a) -> str:
         return str(a)
 
-    @property
-    def one_elem(self) -> "RingElement":
-        return RingElement(self, self.one)
-
     def parse(self, text: str):
         return self.from_int(_read_int(text))
 
@@ -453,13 +449,6 @@ class PolynomialRing(Ring):
         self._index = {v: i for i, v in enumerate(names)}
         self.zero = Polynomial.zero(self.nvars)
         self.one = Polynomial.constant(self.nvars, 1)
-
-    def var(self, name_or_index) -> "RingElement":
-        if isinstance(name_or_index, str):
-            if name_or_index not in self._index:
-                raise ParseError(f"unknown variable: {_show(name_or_index)}")
-            name_or_index = self._index[name_or_index]
-        return RingElement(self, Polynomial.variable(self.nvars, name_or_index))
 
     def exact_div(self, a, b):
         return a.exact_div(b)
@@ -590,11 +579,10 @@ def ring_from_doc(doc: dict) -> Ring:
 
 
 class RingElement:
-    """A raw value paired with its ring; immutable, operator-friendly.
-
-    Mixing elements of different rings raises :class:`RingMismatchError`;
-    plain ints are coerced for convenience.
-    """
+    """A raw value paired with its ring: what ``det()``, ``mu_prime`` and
+    reports carry.  Its one operation is the power rule; callers compute on
+    ``value``.  It equals an element of its ring with the same value, and an
+    int that the ring reads as that value."""
 
     __slots__ = ("ring", "value")
 
@@ -605,48 +593,6 @@ class RingElement:
             raise BadRingError(f"{ring.describe()} values must lie in [0, {p})")
         self.ring = ring
         self.value = value
-
-    def _raw(self, other):
-        if isinstance(other, RingElement):
-            if other.ring != self.ring:
-                raise RingMismatchError(
-                    f"cannot mix {self.ring.describe()} and {other.ring.describe()}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._raw(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.reduce(self.value + v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._raw(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.reduce(self.value - v))
-
-    def __rsub__(self, other):
-        v = self._raw(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.reduce(v - self.value))
-
-    def __mul__(self, other):
-        v = self._raw(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.reduce(self.value * v))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.reduce(-self.value))
 
     def __pow__(self, e: int):
         """The one power rule: pow(v, e, p) over Z/p, v ** e over Z and Z[x]."""

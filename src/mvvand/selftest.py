@@ -8,7 +8,8 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from math import comb
+from itertools import combinations
+from math import comb, prod
 from typing import Callable
 
 from .genpos import (
@@ -19,7 +20,7 @@ from .genpos import (
 )
 from .matrix import ExactMatrix, random_matrix, seeded_rng
 from .matrix import _det_bareiss, _det_berkowitz, _det_cofactor
-from .rings import DEFAULT_PRIME, PolynomialRing, PrimeField, ZZ
+from .rings import DEFAULT_PRIME, Polynomial, PolynomialRing, PrimeField, ZZ
 from .vandermonde import (
     demo_naive_failure,
     symbolic_matrix,
@@ -91,13 +92,10 @@ def classical_vandermonde(quick: bool = False):
     ok = True
     for d in degrees:
         ring = PolynomialRing([f"X{i}" for i in range(d + 1)])
-        rows = [[ring.var(i) ** j for j in range(d + 1)] for i in range(d + 1)]
-        det = ExactMatrix.from_rows(ring, rows).det()
-        rhs = ring.one_elem
-        for i in range(d + 1):
-            for j in range(i + 1, d + 1):
-                rhs = rhs * (ring.var(j) - ring.var(i))
-        ok &= det == rhs
+        x = [Polynomial.variable(d + 1, i) for i in range(d + 1)]
+        det = ExactMatrix(ring, [[xi ** j for j in range(d + 1)] for xi in x]).det()
+        rhs = prod((x[j] - x[i] for i, j in combinations(range(d + 1), 2)), start=ring.one)
+        ok &= det.value == rhs
         checked.append(d)
     return ok, f"degrees {list(checked)} exact"
 

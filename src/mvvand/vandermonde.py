@@ -17,7 +17,7 @@ from math import comb, prod
 
 from .errors import BadIndexError, ShapeError
 from .matrix import ExactMatrix, _minor_table, random_matrix, seeded_rng
-from .rings import Polynomial, PolynomialRing, RingElement, ZZ
+from .rings import Polynomial, PolynomialRing, RingElement, ZZ, _show
 
 SYMBOLIC_CAP = 10  # default bound on C(n+d, n) for symbolic verification
 
@@ -283,13 +283,16 @@ def _report(
     reported when visible (not when both sides vanish); otherwise exactly.
     A ``predicted_sign`` pins the sign: unless lhs equals it times rhs the
     verdict is "unequal", so a sign fault cannot pass as the other sign."""
+    a, b, reduce = lhs.value, rhs.value, lhs.ring.reduce
     up_to_sign = expected == "equal-up-to-sign"
+    # -rhs by the one negation rule, only where it can decide the verdict
+    opposite = holds and (up_to_sign and a != b or predicted_sign == -1) and a == reduce(-b)
     if predicted_sign is not None:
-        holds = holds and lhs == rhs * predicted_sign
-    if holds and lhs == rhs:
+        holds = holds and (opposite if predicted_sign == -1 else a == b)
+    if holds and a == b:
         verdict = "equal-up-to-sign" if up_to_sign else "equal"
         sign = 1 if up_to_sign and not lhs.is_zero() else None
-    elif holds and up_to_sign and lhs == -rhs:
+    elif holds and up_to_sign and opposite:
         verdict, sign = "equal-up-to-sign", -1
     else:
         verdict, sign = "unequal", None
@@ -317,7 +320,7 @@ def verify_column_lemma(X: ExactMatrix, alpha, src: int, dst: int) -> Verificati
     both sides by alpha^(n*C(n+d, n+1))."""
     n, d = _shape_nd(X)
     if src == dst:
-        raise BadIndexError(f"column lemma needs two distinct columns, got {src} twice")
+        raise BadIndexError(f"column lemma needs two distinct columns, got {_show(src)} twice")
     ring = X.ring
     a = RingElement(ring, ring.coerce(alpha))
     # the column operations check src and dst before any determinant runs
@@ -331,9 +334,9 @@ def verify_column_lemma(X: ExactMatrix, alpha, src: int, dst: int) -> Verificati
         n,
         d,
         scaled.lhs,
-        base.lhs * a ** (n * comb(n + d, n + 1)),
+        RingElement(ring, ring.reduce(base.lhs.value * (a ** (n * comb(n + d, n + 1))).value)),
         "equal",
-        holds=base.ok and added.ok and scaled.ok and added.lhs == base.lhs,
+        holds=base.ok and added.ok and scaled.ok and added.lhs.value == base.lhs.value,
         detail={"alpha": str(a), "src": src, "dst": dst},
     )
 

@@ -112,11 +112,11 @@ def format_polynomial(ring: PolynomialRing, p: Polynomial) -> str:
 def minor_product_lex(X: ExactMatrix) -> RingElement:
     """Product of the order-(n+1) minors of X, each by its own determinant,
     multiplied in lex order of the rows taken."""
-    cols = range(X.ncols)
-    acc = RingElement(X.ring, X.ring.one)
+    ring, cols = X.ring, range(X.ncols)
+    acc = ring.one
     for taken in combinations(range(X.nrows), X.ncols):
-        acc = acc * X.minor(taken, cols)
-    return acc
+        acc = ring.reduce(acc * X.minor(taken, cols).value)
+    return RingElement(ring, acc)
 
 
 def expand_linear_forms(ring, forms, nvars):

@@ -271,12 +271,16 @@ class TestGenposAndBench:
         assert doc["verdict"] is False and doc["method"] == "eta"
 
 
-def run_main(args):
+def run_main(args, timeout=None):
     import subprocess, sys
 
     return subprocess.run(
-        [sys.executable, "-m", "mvvand.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "mvvand.cli", *args], capture_output=True, text=True,
+        timeout=timeout,
     )
+
+
+NINES = "9" * 3000
 
 
 class TestErrors:
@@ -529,6 +533,46 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:shape-error:")
         assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            # each message once quoted its 3,000-digit number whole
+            pytest.param(["verify", "hdv", "--n", "0", "--d", NINES], "shape-error", id="hdv-d"),
+            pytest.param(
+                ["verify", "lemma", "--n", "2", "--d", "2", "--src-col", NINES, "--dst-col", "1"],
+                "bad-index",
+                id="lemma-src-col",
+            ),
+            pytest.param(
+                ["verify", "lemma", "--n", "2", "--d", "2", "--src-col", NINES, "--dst-col", NINES],
+                "bad-index",
+                id="lemma-same-col",
+            ),
+            pytest.param(
+                ["verify", "hdv", "--n", NINES, "--d", "2", "--symbolic"],
+                "symbolic-cap",
+                id="cap-n",
+            ),
+            # the cap check multiplied out C(n + d, n) first: 44 s at n = d = 10^6
+            pytest.param(
+                ["verify", "hdv", "--n", "1000000", "--d", "1000000", "--symbolic"],
+                "symbolic-cap",
+                id="cap-1e6",
+            ),
+            pytest.param(
+                ["verify", "hdv", "--n", str(10**100), "--d", str(10**100), "--symbolic"],
+                "symbolic-cap",
+                id="cap-1e100",
+            ),
+        ],
+    )
+    def test_huge_number_is_named_by_size(self, args, code):
+        proc = run_main(args, timeout=5)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error:{code}:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert len(proc.stderr) < 200, proc.stderr[:200]
 
     @pytest.mark.parametrize(
         "args",

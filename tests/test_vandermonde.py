@@ -11,6 +11,7 @@ from mvvand.selftest import dual_identity
 from mvvand.vandermonde import (
     _exponents,
     _pairing_sign,
+    _report,
     demo_naive_failure,
     eta_matrix,
     monomial_basis,
@@ -177,11 +178,10 @@ class TestMinorProduct:
         names = [v for i in range(3) for v in (f"X{i}", f"Y{i}")]
         ring = PolynomialRing(names)
         X = ExactMatrix.from_rows(ring, [[f"X{i}", f"Y{i}"] for i in range(3)])
-        expect = ring.one_elem
-        for i in range(3):
-            for j in range(i + 1, 3):
-                expect = expect * elem(ring, f"X{i}*Y{j} - X{j}*Y{i}")
-        assert mu_prime(X) == expect
+        expect = ring.one
+        for i, j in combinations(range(3), 2):
+            expect = expect * ring.parse(f"X{i}*Y{j} - X{j}*Y{i}")
+        assert mu_prime(X).value == expect
 
     def test_empty_product_is_one(self):
         X = random_matrix(ZZ, 2, 3, seeded_rng("muprime0"))
@@ -238,12 +238,12 @@ class TestEta:
             # expand the product of the d linear forms one term at a time
             coeffs = {}
             for choice in product(range(ncols), repeat=d):
-                term = RingElement(ring, ring.one)
+                term = ring.one
                 for i, k in zip(taken, choice):
-                    term = term * RingElement(ring, X.rows_raw()[i][k])
+                    term = ring.reduce(term * X.rows_raw()[i][k])
                 exps = tuple(choice.count(k) for k in range(ncols))
-                coeffs[exps] = coeffs.get(exps, RingElement(ring, ring.zero)) + term
-            expect.append([coeffs[e].value for e in monomial_basis(ncols - 1, d)])
+                coeffs[exps] = ring.reduce(coeffs.get(exps, ring.zero) + term)
+            expect.append([coeffs[e] for e in monomial_basis(ncols - 1, d)])
         assert eta_matrix(X) == ExactMatrix(ring, expect)
 
     def test_shape_check(self):
@@ -353,10 +353,11 @@ class TestPairing:
             outside = [raw[i] for i in range(n + d) if i not in s]
             row = []
             for s_prime in subsets:
-                entry = RingElement(ring, ring.one)
+                entry = ring.one
                 for j in s_prime:
-                    entry = entry * det_by(_det_berkowitz, ExactMatrix(ring, [raw[j]] + outside))
-                row.append(entry.value)
+                    block = ExactMatrix(ring, [raw[j]] + outside)
+                    entry = ring.reduce(entry * det_by(_det_berkowitz, block).value)
+                row.append(entry)
             expect.append(row)
         assert pairing_matrix(X) == ExactMatrix(ring, expect)
 
@@ -518,6 +519,25 @@ class TestColumnLemma:
         assert calls == []
 
 
+    @pytest.mark.parametrize("alpha", [2, -1, 1_000_002])
+    def test_mod_p(self, alpha):
+        p = 1_000_003
+        X = random_matrix(PrimeField(p), 4, 3, seeded_rng("lemma-modp"))
+        base = verify_hdv(X).lhs
+        report = verify_column_lemma(X, alpha, 0, 2)
+        assert report.verdict == "equal" and not base.is_zero()
+        # n = 2, d = 2: the sides scale by alpha^(2 * C(4, 3))
+        assert report.rhs.value == base.value * pow(alpha, 8, p) % p
+
+    @pytest.mark.parametrize("alpha", [2, -1])
+    def test_symbolic(self, alpha):
+        X = symbolic_matrix(3, 2)
+        report = verify_column_lemma(X, alpha, 1, 0)
+        assert report.verdict == "equal"
+        # n = 1, d = 2: the sides scale by alpha^(1 * C(3, 2))
+        assert report.rhs.value == verify_hdv(X).lhs.value * X.ring.from_int(alpha ** 3)
+
+
 class TestVerifySymPower:
     def test_diagonal_example(self):
         u = ExactMatrix.from_rows(ZZ, [[2, 0], [0, 3]])
@@ -564,7 +584,47 @@ class TestNaiveComparison:
         assert sum(minor_degrees) == 60
 
 
+XY = PolynomialRing(["x", "y"])
+# per ring: a nonzero value, its negative, a third value, and zero
+REPORT_VALUES = {
+    "ZZ": (ZZ, 3, -3, 5, 0),
+    "F7": (PrimeField(7), 3, 4, 5, 0),
+    "ZZ[x,y]": (XY, *map(XY.parse, ("x - 2*y", "2*y - x", "x + y", "0"))),
+}
+UP_TO_SIGN = "equal-up-to-sign"
+PLUS, MINUS, FAILS = {"predicted_sign": 1}, {"predicted_sign": -1}, {"holds": False}
+
+
 class TestComparisonRule:
+    @pytest.mark.parametrize("ring_id", list(REPORT_VALUES))
+    @pytest.mark.parametrize(
+        "lhs,rhs,expected,options,verdict,sign",
+        [
+            pytest.param("v", "v", "equal", {}, "equal", None, id="equal"),
+            pytest.param("v", "v", UP_TO_SIGN, {}, UP_TO_SIGN, 1, id="same"),
+            pytest.param("neg", "v", UP_TO_SIGN, {}, UP_TO_SIGN, -1, id="opposite"),
+            pytest.param("neg", "v", "equal", {}, "unequal", None, id="opposite-not-equal"),
+            pytest.param("w", "v", UP_TO_SIGN, {}, "unequal", None, id="other"),
+            pytest.param("v", "v", UP_TO_SIGN, PLUS, UP_TO_SIGN, 1, id="plus-matched"),
+            pytest.param("neg", "v", UP_TO_SIGN, PLUS, "unequal", None, id="plus-mismatched"),
+            pytest.param("neg", "v", UP_TO_SIGN, MINUS, UP_TO_SIGN, -1, id="minus-matched"),
+            pytest.param("v", "v", UP_TO_SIGN, MINUS, "unequal", None, id="minus-mismatched"),
+            pytest.param("zero", "zero", UP_TO_SIGN, {}, UP_TO_SIGN, None, id="zero"),
+            pytest.param("zero", "zero", UP_TO_SIGN, MINUS, UP_TO_SIGN, None, id="zero-minus"),
+            pytest.param("v", "v", "equal", FAILS, "unequal", None, id="fails-equal"),
+            pytest.param("neg", "v", UP_TO_SIGN, FAILS, "unequal", None, id="fails-opposite"),
+        ],
+    )
+    def test_report_on_every_ring_kind(self, ring_id, lhs, rhs, expected, options, verdict, sign):
+        ring, *values = REPORT_VALUES[ring_id]
+        value = dict(zip(("v", "neg", "w", "zero"), values))
+        report = _report(
+            "t", 1, 1, RingElement(ring, value[lhs]), RingElement(ring, value[rhs]), expected,
+            **options,
+        )
+        assert (report.verdict, report.sign) == (verdict, sign)
+        assert report.ring == ring.describe()
+
     @pytest.mark.parametrize(
         "verify",
         [
@@ -576,7 +636,12 @@ class TestComparisonRule:
     )
     def test_wrong_minor_product_is_unequal(self, verify, monkeypatch):
         mu_prime_true = vandermonde.mu_prime
-        monkeypatch.setattr(vandermonde, "mu_prime", lambda X: mu_prime_true(X) + 1)
+
+        def off_by_one(X):
+            m = mu_prime_true(X)
+            return RingElement(m.ring, m.ring.reduce(m.value + m.ring.one))
+
+        monkeypatch.setattr(vandermonde, "mu_prime", off_by_one)
         report = verify(WORKED)
         assert report.verdict == "unequal"
         assert not report.ok
@@ -592,7 +657,7 @@ class TestComparisonRule:
         monkeypatch.setattr(vandermonde, "pairing_matrix", skewed)
         report = verify_pairing(WORKED)
         # the triangular change keeps det, so only the side condition fails
-        assert report.lhs == -report.rhs
+        assert report.lhs == -report.rhs.value
         assert report.verdict == "unequal" and report.sign is None
         assert report.detail == {"diagonal": False}
         assert not report.ok
@@ -642,7 +707,7 @@ class TestPairingSignMutations:
     def test_sign_fault_is_unequal(self, mutate, monkeypatch):
         monkeypatch.setattr(vandermonde, "pairing_matrix", _pairing_with_block(mutate))
         report = verify_pairing(self.X)
-        assert report.lhs == -report.rhs and not report.lhs.is_zero()
+        assert report.lhs == -report.rhs.value and not report.lhs.is_zero()
         assert report.verdict == "unequal" and report.sign is None
         assert not report.ok
 
