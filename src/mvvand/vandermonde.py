@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
 
-from .errors import BadIndexError, ShapeError
+from .errors import BadIndexError, ExponentOverflowError, ShapeError
 from .matrix import ExactMatrix, _minor_table, random_matrix, seeded_rng
-from .rings import Polynomial, PolynomialRing, RingElement, ZZ, _show
+from .rings import _EXP_LIMIT, Polynomial, PolynomialRing, RingElement, ZZ, _show
 
 SYMBOLIC_CAP = 10  # default bound on C(n+d, n) for symbolic verification
 
@@ -197,6 +197,15 @@ def sym_power_matrix(u: ExactMatrix, d: int) -> ExactMatrix:
         raise ShapeError("degree must be nonnegative")
     m = u.nrows
     ring = u.ring
+    if ring.name == "poly":
+        # the image of a variable's d-th power holds each entry of its column
+        # to the d-th power, so the largest degree d * top is reached
+        top = max(v.total_degree() for row in u.rows_raw() for v in row)
+        if d * top >= _EXP_LIMIT:
+            raise ExponentOverflowError(
+                f"symmetric power d={_show(d)} of entries of degree {top} "
+                f"would exceed total degree {_EXP_LIMIT - 1}"
+            )
     basis = _exponents(m, d)
     weights, keys = _packed_basis(basis)
     # column k of u is the image of the k-th variable, as a linear form
@@ -314,10 +323,21 @@ def verify_dual(X: ExactMatrix) -> VerificationReport:
     return _report("dual", n, d, eta_matrix(X).det(), mu_prime(X), "equal-up-to-sign")
 
 
+# (X, verify_hdv(X)) of the last matrix the column lemma checked
+_lemma_base = None
+
+
 def verify_column_lemma(X: ExactMatrix, alpha, src: int, dst: int) -> VerificationReport:
     """Check both column-operation facts: adding alpha times column src to
     column dst changes neither side, and scaling column src by alpha scales
-    both sides by alpha^(n*C(n+d, n+1))."""
+    both sides by alpha^(n*C(n+d, n+1)).
+
+    The base report ``verify_hdv(X)`` of the last matrix checked is kept in
+    one slot, keyed on an equal matrix (the same ring and the same rows), so
+    checking one matrix for several scalars runs it once.  The memo sits here
+    and not in ``verify_hdv``, whose every call computes both sides afresh:
+    a fault injected into a constructor reaches each direct check."""
+    global _lemma_base
     n, d = _shape_nd(X)
     if src == dst:
         raise BadIndexError(f"column lemma needs two distinct columns, got {_show(src)} twice")
@@ -326,7 +346,12 @@ def verify_column_lemma(X: ExactMatrix, alpha, src: int, dst: int) -> Verificati
     # the column operations check src and dst before any determinant runs
     added_X = X.add_scaled_column(src, dst, a)
     scaled_X = X.scale_column(src, a)
-    base = verify_hdv(X)
+    # one read and one write of the slot, so no other caller swaps the report
+    # between the key check and its use
+    slot = _lemma_base
+    if slot is None or slot[0] != X:
+        slot = _lemma_base = (X, verify_hdv(X))
+    base = slot[1]
     added = verify_hdv(added_X)
     scaled = verify_hdv(scaled_X)
     return _report(

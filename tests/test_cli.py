@@ -574,6 +574,17 @@ class TestErrors:
         assert len(proc.stderr.splitlines()) == 1
         assert len(proc.stderr) < 200, proc.stderr[:200]
 
+    def test_symbolic_sym_power_past_packed_degree(self):
+        # order 1, so under the cap: the run listed the 10^8 exponents of
+        # x^(10^8) before any product could overflow
+        proc = run_main(["verify", "sym", "--n", "1", "--d", "100000000", "--symbolic"], timeout=5)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:exponent-overflow:")
+        assert len(proc.stderr.splitlines()) == 1
+        proc = run_main(["verify", "sym", "--n", "1", "--d", "60000", "--symbolic"], timeout=30)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["verdict"] == "equal"
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -4,7 +4,7 @@ from math import comb, prod
 import pytest
 
 from mvvand import vandermonde
-from mvvand.errors import BadIndexError, ShapeError
+from mvvand.errors import BadIndexError, ExponentOverflowError, ShapeError
 from mvvand.matrix import ExactMatrix, _det_berkowitz, _det_cofactor, random_matrix, seeded_rng
 from mvvand.rings import Polynomial, PolynomialRing, PrimeField, RingElement, ZZ
 from mvvand.selftest import dual_identity
@@ -284,6 +284,16 @@ class TestSymPower:
         with pytest.raises(ShapeError):
             sym_power_matrix(ExactMatrix.from_rows(ZZ, [[1, 2, 3], [4, 5, 6]]), 2)
 
+    def test_packed_degree_limit_is_checked_first(self):
+        # the entry a^k of u has the entry a^(d*k) in S^d(u); 65535 is the
+        # largest total degree a packed monomial holds
+        ring = PolynomialRing(["a", "b"])
+        top = ExactMatrix.from_rows(ring, [["a^21845"]])
+        assert sym_power_matrix(top, 3) == ExactMatrix.from_rows(ring, [["a^65535"]])
+        past = ExactMatrix.from_rows(ring, [["1", "b"], ["0", "a^32768"]])
+        with pytest.raises(ExponentOverflowError, match="d=2 of entries of degree 32768"):
+            sym_power_matrix(past, 2)
+
 
 XY = PolynomialRing(["x", "y"])
 
@@ -479,6 +489,19 @@ class TestVerifyDual:
             assert len(signs) == 1
 
 
+def _count_dets(monkeypatch) -> list:
+    """Orders of the matrices whose ``det()`` runs from now on."""
+    calls = []
+    det = ExactMatrix.det
+
+    def counting_det(M):
+        calls.append(M.nrows)
+        return det(M)
+
+    monkeypatch.setattr(ExactMatrix, "det", counting_det)
+    return calls
+
+
 class TestColumnLemma:
     def test_hand_scaling(self):
         # scaling column 0 by 2 multiplies the minor product by 2^3
@@ -506,17 +529,49 @@ class TestColumnLemma:
     def test_bad_column_runs_no_determinant(self, src, dst, monkeypatch):
         # an out-of-range column used to cost a full base check first
         X = random_matrix(ZZ, 7, 5, seeded_rng("lemma-bad"))
-        calls = []
-        det = ExactMatrix.det
-
-        def counting_det(M, *args):
-            calls.append(M.nrows)
-            return det(M, *args)
-
-        monkeypatch.setattr(ExactMatrix, "det", counting_det)
+        calls = _count_dets(monkeypatch)
         with pytest.raises(BadIndexError):
             verify_column_lemma(X, 2, src, dst)
         assert calls == []
+
+    def test_base_runs_once_per_matrix(self, monkeypatch):
+        # verify_hdv runs one det(), of the Veronese matrix: order C(4, 2) = 6
+        monkeypatch.setattr(vandermonde, "_lemma_base", None)
+        calls = _count_dets(monkeypatch)
+        X = random_matrix(ZZ, 4, 3, seeded_rng("lemma-memo", 0))
+        for alpha in (2, 3, -1):
+            assert verify_column_lemma(X, alpha, 0, 1).verdict == "equal"
+        assert calls == [6] * 7
+        # a different matrix of the same shape runs its own base, which then
+        # replaces X's in the slot
+        Y = random_matrix(ZZ, 4, 3, seeded_rng("lemma-memo", 1))
+        assert Y != X
+        assert verify_column_lemma(Y, 2, 0, 1).verdict == "equal"
+        assert calls == [6] * 10
+        assert verify_column_lemma(Y, 3, 0, 1).verdict == "equal"
+        assert calls == [6] * 12
+
+    def test_equal_copy_hits_the_slot(self, monkeypatch):
+        monkeypatch.setattr(vandermonde, "_lemma_base", None)
+        X = random_matrix(ZZ, 4, 3, seeded_rng("lemma-memo", 2))
+        verify_column_lemma(X, 2, 0, 1)
+        copy = ExactMatrix.from_rows(ZZ, [list(r) for r in X.rows_raw()])
+        assert copy is not X
+        calls = _count_dets(monkeypatch)
+        assert verify_column_lemma(copy, 3, 1, 2).verdict == "equal"
+        assert len(calls) == 2
+
+    def test_same_rows_over_another_ring_miss_the_slot(self, monkeypatch):
+        # the same raw rows: nonnegative and below p, so valid in both rings
+        rows = [[1, 2, 3], [4, 5, 6], [7, 8, 10], [2, 9, 5]]
+        fp = PrimeField(1_000_003)
+        monkeypatch.setattr(vandermonde, "_lemma_base", None)
+        over_z = verify_column_lemma(ExactMatrix(ZZ, rows), 2, 0, 1)
+        calls = _count_dets(monkeypatch)
+        over_p = verify_column_lemma(ExactMatrix(fp, rows), 2, 0, 1)
+        assert len(calls) == 3
+        assert over_z.verdict == over_p.verdict == "equal"
+        assert over_p.rhs.value == over_z.rhs.value % fp.modulus
 
 
     @pytest.mark.parametrize("alpha", [2, -1, 1_000_002])
@@ -635,6 +690,10 @@ class TestComparisonRule:
         ],
     )
     def test_wrong_minor_product_is_unequal(self, verify, monkeypatch):
+        # the lemma's base check runs under the fault too, not from the slot;
+        # the earlier slot comes back after the test, so the faulty base
+        # report made here reaches no later caller
+        monkeypatch.setattr(vandermonde, "_lemma_base", None)
         mu_prime_true = vandermonde.mu_prime
 
         def off_by_one(X):
