@@ -32,9 +32,8 @@ class PointConfiguration:
             raise ZeroPointError(
                 f"need at least one point with at least two coordinates, got {M.nrows}x{M.ncols}"
             )
-        is_zero = M.ring.is_zero
         for i, row in enumerate(M.rows_raw()):
-            if all(is_zero(v) for v in row):
+            if not any(row):
                 raise ZeroPointError(f"row {i} is all zero: not a projective point")
 
     @property
@@ -84,10 +83,10 @@ def in_general_position(cfg: PointConfiguration) -> GenPosVerdict:
     failure the lex-least vanishing row subset is returned as witness."""
     _require_enough(cfg)
     M = cfg.matrix
-    minor, is_zero = _minor_table(M), M.ring.is_zero
+    minor = _minor_table(M)
     cols = tuple(range(cfg.n + 1))
     for taken in combinations(range(cfg.m), cfg.n + 1):
-        if is_zero(minor(taken, cols)):
+        if not minor(taken, cols):
             return GenPosVerdict(False, taken, METHOD_MINORS, cfg.n, cfg.m, M.ring.describe())
     return GenPosVerdict(True, None, METHOD_MINORS, cfg.n, cfg.m, M.ring.describe())
 
@@ -97,7 +96,7 @@ def in_general_position_via_eta(cfg: PointConfiguration) -> GenPosVerdict:
     determinant exactly when the minor product does (integral domain)."""
     _require_enough(cfg)
     M = cfg.matrix
-    verdict = not eta_matrix(M).det().is_zero()
+    verdict = bool(eta_matrix(M).det().value)
     return GenPosVerdict(verdict, None, METHOD_ETA, cfg.n, cfg.m, M.ring.describe())
 
 
@@ -105,8 +104,7 @@ def _random_configuration(ring, m, n, rng) -> PointConfiguration:
     rows = []
     while len(rows) < m:
         row = [ring.random_entry(rng) for _ in range(n + 1)]
-        if all(ring.is_zero(v) for v in row):
-            continue
-        rows.append(row)
+        if any(row):
+            rows.append(row)
     return PointConfiguration(ExactMatrix(ring, rows))
 

@@ -264,13 +264,13 @@ def _det_bareiss(ring, rows):
     """
     n = len(rows)
     rows = [list(r) for r in rows]
-    div, is_zero = ring.exact_div, ring.is_zero
+    div = ring.exact_div
     sign = 1
     prev = ring.one
     for k in range(n - 1):
         pivot_row = None
         for i in range(k, n):
-            if not is_zero(rows[i][k]):
+            if rows[i][k]:
                 pivot_row = i
                 break
         if pivot_row is None:

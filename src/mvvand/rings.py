@@ -4,8 +4,10 @@ Three rings are supported: arbitrary-precision integers, prime fields Z/p,
 and sparse multivariate polynomials over Z.  A :class:`Ring` instance is a
 descriptor for *raw* values (Python ints, or :class:`Polynomial`), which
 compute with Python's operators and are reduced by :meth:`Ring.reduce`, the
-one arithmetic rule; :class:`RingElement` pairs a raw value with its ring, as
-a determinant or a report carries it.  All values are immutable.
+one arithmetic rule.  A raw value of any ring is zero exactly when it is
+falsy, and :meth:`Ring.coerce` is the one embedding of an int.
+:class:`RingElement` pairs a raw value with its ring, as a determinant or a
+report carries it.  All values are immutable.
 """
 from __future__ import annotations
 
@@ -99,10 +101,6 @@ class Polynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
-
-    @classmethod
     def constant(cls, nvars: int, c: int) -> "Polynomial":
         return cls(nvars, {0: c} if c else {})
 
@@ -131,8 +129,9 @@ class Polynomial:
 
     # -- queries ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        """False exactly for the zero polynomial, as for the int 0."""
+        return bool(self.terms)
 
     def total_degree(self) -> int:
         """Total degree; 0 for the zero polynomial.  The degree field sits
@@ -157,11 +156,12 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise RingMismatchError("polynomials over different variable sets")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def __add__(self, other: "Polynomial", sign: int = 1) -> "Polynomial":
+        """self + sign * other: sums and differences collect terms in one loop."""
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            v = out.get(k, 0) + c
+            v = out.get(k, 0) + sign * c
             if v:
                 out[k] = v
             else:
@@ -169,15 +169,7 @@ class Polynomial:
         return Polynomial(self.nvars, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) - c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        return Polynomial(self.nvars, out)
+        return self.__add__(other, -1)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.nvars, {k: -c for k, c in self.terms.items()})
@@ -225,7 +217,7 @@ class Polynomial:
         division is exact.
         """
         self._check(divisor)
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
         nvars = self.nvars
         lexmask = (1 << (_EXP_BITS * nvars)) - 1
@@ -308,17 +300,19 @@ _DIGITS_RE = re.compile(r"\s*[-+]?(\d+)\s*\Z")
 
 def _read_int(text: str) -> int:
     """The one reader of integer text: entries over Z and Z/p, numbers in
-    polynomial text, and a modulus given as a string.  int() refuses a digit
-    string past sys.get_int_max_str_digits(); that is reported by its length."""
+    polynomial text, and a modulus given as a string.  Its grammar is
+    ``_DIGITS_RE``: an optional sign, then decimal digits, with space around
+    them (int() alone would also take "1_0").  int() refuses a digit string
+    past sys.get_int_max_str_digits(); that is reported by its length."""
+    digits = _DIGITS_RE.match(text)
+    if not digits:
+        raise ParseError(f"not an integer: {_show(text)}")
     try:
         return int(text)
     except ValueError:
-        digits = _DIGITS_RE.match(text)
-        if digits:
-            raise ParseError(
-                f"{len(digits.group(1))}-digit integer is past the limit on integer text"
-            ) from None
-        raise ParseError(f"not an integer: {_show(text)}") from None
+        raise ParseError(
+            f"{len(digits.group(1))}-digit integer is past the limit on integer text"
+        ) from None
 
 
 class Ring:
@@ -335,14 +329,11 @@ class Ring:
         p = self.modulus
         return v % p if p else v
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def format(self, a) -> str:
         return str(a)
 
     def parse(self, text: str):
-        return self.from_int(_read_int(text))
+        return self.coerce(_read_int(text))
 
     def coerce(self, v):
         if isinstance(v, RingElement):
@@ -350,7 +341,8 @@ class Ring:
                 raise RingMismatchError("element of another ring")
             return v.value
         if isinstance(v, int):
-            return self.from_int(v)
+            # int(): a bool is written and read back as 0 or 1
+            return self.reduce(int(v))
         raise BadRingError(f"cannot coerce {type(v).__name__} into {self.describe()}")
 
     def __eq__(self, other):
@@ -359,8 +351,8 @@ class Ring:
     def __hash__(self):
         return hash(self.describe())
 
-    # subclasses: zero, one, exact_div, from_int, random_entry, describe,
-    # to_doc; PolynomialRing also is_zero, format, coerce and parse
+    # subclasses: zero, one, exact_div, random_entry, describe, to_doc;
+    # PolynomialRing also format, coerce and parse
 
 
 class IntegerRing(Ring):
@@ -377,9 +369,6 @@ class IntegerRing(Ring):
         if r:
             raise InexactDivisionError(f"{b} does not divide {a}")
         return q
-
-    def from_int(self, k: int):
-        return int(k)
 
     def random_entry(self, rng):
         # sampling convention for randomized suites
@@ -411,9 +400,6 @@ class PrimeField(Ring):
         if b == 0:
             raise ZeroDivisionError("division by zero in Z/p")
         return a * pow(b, -1, self.modulus) % self.modulus
-
-    def from_int(self, k: int):
-        return k % self.modulus
 
     def random_entry(self, rng):
         return rng.randrange(self.modulus)
@@ -447,17 +433,11 @@ class PolynomialRing(Ring):
         self.variables = names
         self.nvars = len(names)
         self._index = {v: i for i, v in enumerate(names)}
-        self.zero = Polynomial.zero(self.nvars)
+        self.zero = Polynomial(self.nvars, {})
         self.one = Polynomial.constant(self.nvars, 1)
 
     def exact_div(self, a, b):
         return a.exact_div(b)
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def from_int(self, k: int):
-        return Polynomial.constant(self.nvars, k)
 
     def coerce(self, v):
         if isinstance(v, Polynomial):
@@ -466,6 +446,8 @@ class PolynomialRing(Ring):
             return v
         if isinstance(v, str):
             return self.parse(v)
+        if isinstance(v, int):
+            return Polynomial.constant(self.nvars, int(v))
         return super().coerce(v)
 
     def random_entry(self, rng):
@@ -495,7 +477,7 @@ class PolynomialRing(Ring):
         of each half is built once per distinct value and shared by every
         term that repeats it.
         """
-        if p.is_zero():
+        if not p:
             return "0"
         terms = p.terms
         nlow = self.nvars // 2
@@ -601,14 +583,11 @@ class RingElement:
         p = self.ring.modulus
         return RingElement(self.ring, pow(self.value, e, p) if p else self.value ** e)
 
-    def is_zero(self) -> bool:
-        return self.ring.is_zero(self.value)
-
     def __eq__(self, other):
         if isinstance(other, RingElement):
             return self.ring == other.ring and self.value == other.value
         if isinstance(other, int):
-            return self.value == self.ring.from_int(other)
+            return self.value == self.ring.coerce(other)
         return NotImplemented
 
     __hash__ = None

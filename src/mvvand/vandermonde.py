@@ -158,7 +158,7 @@ def _expand_linear_forms(ring, forms, weights, keys):
     p = ring.modulus
     acc = {0: ring.one}
     for f in forms:
-        nonzero = [(w, c) for w, c in zip(weights, f) if not ring.is_zero(c)]
+        nonzero = [(w, c) for w, c in zip(weights, f) if c]
         new = {}
         for key, a in acc.items():
             for w, c in nonzero:
@@ -300,7 +300,7 @@ def _report(
         holds = holds and (opposite if predicted_sign == -1 else a == b)
     if holds and a == b:
         verdict = "equal-up-to-sign" if up_to_sign else "equal"
-        sign = 1 if up_to_sign and not lhs.is_zero() else None
+        sign = 1 if up_to_sign and a else None
     elif holds and up_to_sign and opposite:
         verdict, sign = "equal-up-to-sign", -1
     else:
@@ -388,14 +388,10 @@ def verify_pairing(X: ExactMatrix) -> VerificationReport:
     """Check the pairing matrix is diagonal with det = sign * (mu' X)^(n+1),
     ``sign`` from :func:`_pairing_sign`; the verdict stays "equal-up-to-sign"."""
     n, d = _shape_nd(X)
-    ring = X.ring
     P = pairing_matrix(X)
     raw = P.rows_raw()
-    diagonal = all(
-        ring.is_zero(raw[i][j])
-        for i in range(P.nrows)
-        for j in range(P.ncols)
-        if i != j
+    diagonal = not any(
+        raw[i][j] for i in range(P.nrows) for j in range(P.ncols) if i != j
     )
     return _report(
         "abstract",

@@ -63,7 +63,7 @@ def poly_eval(p: RingElement, point) -> RingElement:
     target = point[0].ring
     acc = target.zero
     for exps, c in items_exponents(p.value):
-        term = target.from_int(c)
+        term = target.coerce(c)
         for x, e in zip(point, exps):
             if e:
                 term = target.reduce(term * (x ** e).value)
@@ -85,7 +85,7 @@ def items_exponents(p: Polynomial):
 def format_polynomial(ring: PolynomialRing, p: Polynomial) -> str:
     """Canonical text built term by term, every monomial from its whole
     exponent vector."""
-    if p.is_zero():
+    if not p.terms:
         return "0"
     chunks = []
     for exps, c in items_exponents(p):
@@ -127,7 +127,7 @@ def expand_linear_forms(ring, forms, nvars):
         new = {}
         for exps, c in acc.items():
             for k, ck in enumerate(f):
-                if ring.is_zero(ck):
+                if ck == ring.zero:
                     continue
                 e2 = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
                 v = ring.reduce(c * ck)

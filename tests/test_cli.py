@@ -295,6 +295,22 @@ class TestErrors:
             # int() used to truncate these to Z/7 and Z/1
             ('{"ring": "mod_p", "modulus": 7.5, "rows": [["1", "0"], ["0", "1"]]}', "parse-error"),
             ('{"ring": "mod_p", "modulus": true, "rows": [["1", "0"], ["0", "1"]]}', "parse-error"),
+            # int() took underscores, which polynomial text refuses; mu ran
+            pytest.param(
+                '{"ring": "int", "rows": [["1_0", "0"], ["0", "1"], ["1", "1"]]}',
+                "parse-error",
+                id="int-entry-1_0",
+            ),
+            pytest.param(
+                '{"ring": "mod_p", "modulus": "7", "rows": [["1_0", "0"], ["0", "1"], ["1", "1"]]}',
+                "parse-error",
+                id="mod-p-entry-1_0",
+            ),
+            pytest.param(
+                '{"ring": "mod_p", "modulus": "1_000_003", "rows": [["1", "0"], ["0", "1"], ["1", "1"]]}',
+                "parse-error",
+                id="modulus-1_000_003",
+            ),
             # the JSON reader raised RecursionError
             pytest.param("[" * 200_000 + "]" * 200_000, "parse-error", id="nested-200000-deep"),
             # the primality bound's message once held all 5,000 digits

@@ -67,7 +67,7 @@ class TestVerdicts:
         for t in range(100):
             cfg = _random_configuration(F101, 5, 2, seeded_rng("brute", t))
             brute = all(
-                not cfg.matrix.minor(rows, (0, 1, 2)).is_zero()
+                cfg.matrix.minor(rows, (0, 1, 2)) != 0
                 for rows in combinations(range(5), 3)
             )
             assert in_general_position(cfg).in_general_position == brute
@@ -80,7 +80,7 @@ class TestVerdicts:
             vanishing = [
                 rows
                 for rows in combinations(range(6), 3)
-                if cfg.matrix.minor(rows, (0, 1, 2)).is_zero()
+                if cfg.matrix.minor(rows, (0, 1, 2)) == 0
             ]
             if vanishing:
                 assert not verdict.in_general_position
@@ -99,7 +99,7 @@ class TestVerdicts:
         vanishing = [
             taken
             for taken in combinations(range(11), 4)
-            if cfg.matrix.minor(taken, range(4)).is_zero()
+            if cfg.matrix.minor(taken, range(4)) == 0
         ]
         assert (2, 3, 4, 5) in vanishing
         assert min(vanishing) == (0, 1, 9, 10)

@@ -83,7 +83,7 @@ class TestDeterminant:
             A = random_matrix(ZZ, 4, 4, seeded_rng("repeat", t))
             rows = [list(r) for r in A.rows_raw()]
             rows[3] = rows[1]
-            assert M(rows).det().is_zero()
+            assert M(rows).det() == 0
 
     def test_zero_pivot_column_short_circuit(self):
         A = M([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
