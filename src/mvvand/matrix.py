@@ -1,7 +1,7 @@
 """Immutable dense matrices over a ring, with one exact determinant kernel per
-ring kind (packed Gaussian elimination over Z/p, fraction-free Bareiss over Z,
-cofactor expansion over Z[x]) and Berkowitz as an oracle, and a lazy minor
-table that shares sub-minors between the minors it is asked for.
+ring kind (packed Gaussian elimination over Z/p, two-step fraction-free
+Bareiss over Z, cofactor expansion over Z[x]) and Berkowitz as an oracle, and a
+lazy minor table that shares sub-minors between the minors it is asked for.
 """
 from __future__ import annotations
 
@@ -93,14 +93,13 @@ class ExactMatrix:
 
     def det(self) -> RingElement:
         """Determinant by the one kernel of the ring's kind, at every order.
-        Over Z/p, Bareiss pays a modular inverse per entry update, field
-        elimination one per pivot and one big-int multiply-add per row
-        update (26x faster at order 35, up to 1.1 us slower at orders 1 to
-        3); over Z, Bareiss beats cofactor expansion from order 3 up (1.9x at
-        order 4) and trails it by under a microsecond at order 1; over Z[x],
-        Bareiss swells intermediate polynomials (6x6 symbolic: cofactor
-        0.12 s, Bareiss 87 s).  The kernels are looked up when called, so a
-        tracer that patches the module's names sees every call."""
+        Over Z/p, field elimination pays a modular inverse per pivot, two-step
+        Bareiss one per entry for every two columns (13x slower at order 35,
+        up to 3.5 us faster at orders 1 to 4); over Z, Bareiss beats cofactor
+        expansion at every order (2.2x at order 4); over Z[x], it swells
+        intermediate polynomials (6x6 symbolic: cofactor 0.07 s, Bareiss
+        55 s).  The kernels are looked up when called, so a tracer that
+        patches the module's names sees every call."""
         if not self.is_square:
             raise ShapeError(f"determinant of a {self.nrows}x{self.ncols} matrix")
         ring = self.ring
@@ -256,39 +255,55 @@ def _laplace_minor(ring, rows, shift, memo, R, C, key):
 
 
 def _det_bareiss(ring, rows):
-    """Fraction-free elimination; requires exact division (integral domain),
-    and ``ring.exact_div`` also reduces each update's raw numerator.
-
-    Pivoting scans each column top-down for the first nonzero entry, on a
-    copy of the rows; a fully zero pivot column short-circuits to zero.
-    """
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    div = ring.exact_div
-    sign = 1
-    prev = ring.one
-    for k in range(n - 1):
-        pivot_row = None
-        for i in range(k, n):
-            if rows[i][k]:
-                pivot_row = i
+    """Two-step fraction-free elimination (E. H. Bareiss, Math. Comp. 22,
+    1968): per entry, three products and one ``ring.exact_div`` (checked,
+    reduced) for every two columns, where one-step Bareiss takes four and two.
+    With m columns done, the block's entries are order-(m+1) minors of the
+    row-swapped input and the divisor p is its leading order-m minor.  So by
+    Sylvester's identity the pivot rows' 2 x 2 minor q, each column's 2 x 2
+    cofactors d1, d2, and e*d1 + f*d2 + q*w (a 3 x 3 minor over p) all divide
+    by p exactly.  Pivots: the first row with a nonzero lead, then the first
+    later row with a nonzero 2 x 2 minor with it; a swap flips the sign, and
+    if either is missing the two columns have rank <= 1 and the det is 0."""
+    if len(rows) == 1:
+        return rows[0][0]
+    div, rows = ring.exact_div, list(rows)
+    sign, p = 1, ring.one
+    while True:
+        # rows holds the block left, its first column at index 0
+        for i, top in enumerate(rows):
+            if top[0]:
                 break
-        if pivot_row is None:
+        else:
             return ring.zero
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
-        rk = rows[k]
-        for i in range(k + 1, n):
-            ri = rows[i]
-            lead = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = div(pivot * ri[j] - lead * rk[j], prev)
-            ri[k] = ring.zero
-        prev = pivot
-    d = rows[n - 1][n - 1]
-    return d if sign > 0 else ring.reduce(-d)
+        if i:
+            rows[i], rows[0], sign = rows[0], top, -sign
+        a, b = top[0], top[1]
+        for i in range(1, len(rows)):
+            second = rows[i]
+            c, d = second[0], second[1]
+            q = div(a * d - b * c, p)
+            if q:
+                break
+        else:
+            return ring.zero
+        if i > 1:
+            rows[i], rows[1], sign = rows[1], second, -sign
+        if len(rows) < 4:
+            break
+        d1, d2, block = [], [], []
+        for x, y in zip(top[2:], second[2:]):
+            d1.append(div(b * y - d * x, p))
+            d2.append(div(c * x - a * y, p))
+        for r in rows[2:]:
+            e, f = r[0], r[1]
+            block.append([div(e * u + f * v + q * w, p) for u, v, w in zip(d1, d2, r[2:])])
+        rows, p = block, q
+    if len(rows) == 3:
+        # the last entry, built without one-element lists
+        (e, f, w), x, y = rows[2], top[2], second[2]
+        q = div(e * div(b * y - d * x, p) + f * div(c * x - a * y, p) + q * w, p)
+    return q if sign > 0 else ring.reduce(-q)
 
 
 def _det_field(ring, rows):

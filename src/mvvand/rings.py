@@ -290,20 +290,20 @@ DEFAULT_PRIME = 1_000_003
 
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME + r"\Z")
-_FACTOR = rf"(?:\d+|{_NAME}(?:\s*\^\s*\d+)?)"
+_FACTOR = rf"(?:[0-9]+|{_NAME}(?:\s*\^\s*[0-9]+)?)"
 # a term of polynomial text, its factors in group 2; the sign takes its own
 # space, as two \s* around an empty match make a failed match quadratic
 _TERM_RE = re.compile(rf"\s*(?:([-+])\s*)?({_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*")
-_FACTOR_RE = re.compile(rf"(\d+)|({_NAME})(?:\s*\^\s*(\d+))?")
-_DIGITS_RE = re.compile(r"\s*[-+]?(\d+)\s*\Z")
+_FACTOR_RE = re.compile(rf"([0-9]+)|({_NAME})(?:\s*\^\s*([0-9]+))?")
+_DIGITS_RE = re.compile(r"\s*[-+]?([0-9]+)\s*\Z")
 
 
 def _read_int(text: str) -> int:
     """The one reader of integer text: entries over Z and Z/p, numbers in
     polynomial text, and a modulus given as a string.  Its grammar is
-    ``_DIGITS_RE``: an optional sign, then decimal digits, with space around
-    them (int() alone would also take "1_0").  int() refuses a digit string
-    past sys.get_int_max_str_digits(); that is reported by its length."""
+    ``_DIGITS_RE``: an optional sign, then ASCII digits, with space around
+    them; int() alone also reads "1_0" and other scripts' digits.  A digit
+    string past sys.get_int_max_str_digits() is reported by its length."""
     digits = _DIGITS_RE.match(text)
     if not digits:
         raise ParseError(f"not an integer: {_show(text)}")
@@ -367,7 +367,7 @@ class IntegerRing(Ring):
             raise ZeroDivisionError("integer division by zero")
         q, r = divmod(a, b)
         if r:
-            raise InexactDivisionError(f"{b} does not divide {a}")
+            raise InexactDivisionError(f"{_show(b)} does not divide {_show(a)}")
         return q
 
     def random_entry(self, rng):

@@ -1,11 +1,12 @@
 import gc
 import json
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mvvand.errors import BadIndexError, BadRingError, ShapeError
+from mvvand.errors import BadIndexError, BadRingError, InexactDivisionError, ShapeError
 from mvvand import matrix
 from mvvand.matrix import (
     ExactMatrix,
@@ -19,6 +20,8 @@ from mvvand.matrix import (
     seeded_rng,
 )
 from mvvand.rings import Polynomial, PolynomialRing, PrimeField, ZZ
+from mvvand.selftest import NUMERIC_GRID
+from mvvand.vandermonde import eta_matrix, mu_matrix, veronese_matrix
 from oracles import det_by, det_mod_p, identity, submatrix
 
 XYZ = PolynomialRing(["x", "y", "z"])
@@ -88,6 +91,123 @@ class TestDeterminant:
     def test_zero_pivot_column_short_circuit(self):
         A = M([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
         assert det_by(_det_bareiss, A) == 0
+
+
+X1 = PolynomialRing(["x"])
+TWO_STEP_RINGS = [ZZ, PrimeField(1_000_003), X1]
+
+
+def _block_triangular(ring, n, k, rng, shape_c):
+    """Order-n rows [[A, B], [0, C]] with A a nonsingular k x k block, so the
+    block left after k columns (k even) is +-det(A) * C, pivots never come
+    from C's rows before then, and ``shape_c``, which rewrites C's rows in
+    place, sets the case the stage after k meets."""
+    def row(width):
+        return [ring.random_entry(rng) for _ in range(width)]
+
+    while True:
+        A = [row(k) for _ in range(k)]
+        if not k or _det_cofactor(ring, A):
+            break
+    C = [row(n - k) for _ in range(n - k)]
+    if not C[0][0]:
+        C[0][0] = ring.one
+    shape_c(ring, C, rng)
+    return [a + row(n - k) for a in A] + [[ring.zero] * k + c for c in C]
+
+
+def _second_pivot_swap(ring, C, rng):
+    # rows 0 and 1 proportional in the block's first two columns, and row 2
+    # with a nonzero 2 x 2 determinant against row 0
+    lam = ring.random_entry(rng) or ring.one
+    C[1][0], C[1][1] = ring.reduce(lam * C[0][0]), ring.reduce(lam * C[0][1])
+    C[2][0], C[2][1] = C[0][0], ring.reduce(C[0][1] + ring.one)
+
+
+def _rank_one_columns(ring, C, rng):
+    lam = ring.random_entry(rng) or ring.one
+    for r in C:
+        r[1] = ring.reduce(lam * r[0])
+
+
+def _zero_second_column(ring, C, rng):
+    for r in C:
+        r[1] = ring.zero
+
+
+class _OffByOneDivisor:
+    """A ring whose exact_div divides by p + 1 for every divisor p other
+    than one: the divisors from the second stage on are corrupted."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def __getattr__(self, name):
+        return getattr(self.ring, name)
+
+    def exact_div(self, a, b):
+        one = self.ring.one
+        return self.ring.exact_div(a, b if b == one else b + one)
+
+
+class TestTwoStepBareiss:
+    # each branch of the two-step kernel, at stage 0 and at its last stage,
+    # against Berkowitz and cofactor expansion; C of 2 or 3 rows at the last
+    # stage reaches the 2 x 2 and the 1 x 1 end
+    @pytest.mark.parametrize("ring", TWO_STEP_RINGS, ids=["int", "mod_p", "poly"])
+    @pytest.mark.parametrize(
+        "shape_c,min_rows,zero",
+        [
+            (_second_pivot_swap, 3, False),
+            (_rank_one_columns, 2, True),
+            (_zero_second_column, 2, True),
+        ],
+        ids=["second-pivot-swap", "rank-one-columns", "zero-second-column"],
+    )
+    def test_branch_matches_oracles(self, ring, shape_c, min_rows, zero):
+        for n in range(min_rows, 13):
+            last = (n - min_rows) // 2 * 2
+            for k in sorted({0, last}):
+                rng = seeded_rng("two-step", shape_c.__name__, ring.describe(), n, k)
+                A = ExactMatrix(ring, _block_triangular(ring, n, k, rng, shape_c))
+                expected = det_by(_det_cofactor, A)
+                assert det_by(_det_berkowitz, A) == expected
+                assert det_by(_det_bareiss, A) == expected
+                assert (expected == 0) == zero
+
+    @pytest.mark.parametrize("ring", TWO_STEP_RINGS, ids=["int", "mod_p", "poly"])
+    def test_random_orders_match_oracles(self, ring):
+        for n in range(1, 13):
+            for t in range(3):
+                A = random_matrix(ring, n, n, seeded_rng("two-step-random", n, t))
+                expected = det_by(_det_cofactor, A)
+                assert det_by(_det_berkowitz, A) == expected
+                assert det_by(_det_bareiss, A) == expected
+
+    @pytest.mark.parametrize("ring", [ZZ, X1], ids=["int", "poly"])
+    def test_corrupted_divisor_is_inexact(self, ring):
+        # orders 4 and up divide by the first stage's q; p + 1 leaves a
+        # remainder, which exact_div reports instead of truncating
+        for n in range(4, 13):
+            rows = random_matrix(ring, n, n, seeded_rng("corrupt", n)).rows_raw()
+            assert _det_bareiss(ring, rows) == _det_berkowitz(ring, rows)
+            with pytest.raises(InexactDivisionError):
+                _det_bareiss(_OffByOneDivisor(ring), rows)
+
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n, d in NUMERIC_GRID if comb(n + d, n) in (10, 20, 35)]
+    )
+    def test_grid_orders_match_field_elimination_mod_primes(self, n, d):
+        # the Veronese and eta determinants over Z of the numeric grid, at
+        # orders 10, 20 and 35, against packed elimination on the reduced rows
+        for t in range(2):
+            X = random_matrix(ZZ, n + d, n + 1, seeded_rng("hdv", "int", n, d, t))
+            for A in (veronese_matrix(mu_matrix(X), d), eta_matrix(X)):
+                value = A.det().value
+                for p in (1_000_003, 998_244_353, 2**61 - 1):
+                    F = PrimeField(p)
+                    rows = [[v % p for v in r] for r in A.rows_raw()]
+                    assert value % p == _det_field(F, rows)
 
 
 F7 = PrimeField(7)

@@ -144,6 +144,10 @@ class TestExactDivision:
         with pytest.raises(InexactDivisionError):
             ZZ.exact_div(7, 2)
         assert ZZ.exact_div(-21, 7) == -3
+        # the message once wrote both ints whole, so past 4,300 digits
+        # int-to-text raised ValueError in place of this error
+        with pytest.raises(InexactDivisionError, match="^13288-bit number does not divide"):
+            ZZ.exact_div(10**5000 + 1, 10**4000)
 
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -276,6 +280,23 @@ class TestIntegerText:
         for read, text in cases:
             with pytest.raises(ParseError, match="^not an integer|^bad polynomial text"):
                 read(text)
+
+    @pytest.mark.parametrize(
+        "ring,text",
+        [
+            (ZZ, "\u0661\u0662"),
+            (PrimeField(7), "\u0663"),
+            (XY, "\u0663*x"),
+            (XY, "x^\u0662"),
+            (XY, "x + \uff11"),
+        ],
+        ids=["int", "mod_p", "poly-coefficient", "poly-exponent", "poly-fullwidth"],
+    )
+    def test_non_ascii_digits_are_parse_errors(self, ring, text):
+        # \d matched every Unicode decimal digit, so Arabic-Indic "١٢" read
+        # as 12, and "٣*x" and "x^٢" as 3*x and x^2; fullwidth "１" as 1
+        with pytest.raises(ParseError, match="^not an integer|^bad polynomial text"):
+            ring.parse(text)
 
     def test_sign_and_space_still_read(self):
         assert ZZ.parse(" -12 ") == -12 and ZZ.parse("+5") == 5
