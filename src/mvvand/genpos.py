@@ -96,7 +96,7 @@ def in_general_position_via_eta(cfg: PointConfiguration) -> GenPosVerdict:
     determinant exactly when the minor product does (integral domain)."""
     _require_enough(cfg)
     M = cfg.matrix
-    verdict = bool(eta_matrix(M).det().value)
+    verdict = bool(eta_matrix(M).det())
     return GenPosVerdict(verdict, None, METHOD_ETA, cfg.n, cfg.m, M.ring.describe())
 
 

@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 from .errors import BadIndexError, BadRingError, ParseError, ShapeError
-from .rings import Ring, RingElement, _show, ring_from_doc
+from .rings import Ring, _show, ring_from_doc
 
 
 class ExactMatrix:
@@ -91,25 +91,25 @@ class ExactMatrix:
 
     # -- determinants -------------------------------------------------------
 
-    def det(self) -> RingElement:
-        """Determinant by the one kernel of the ring's kind, at every order.
-        Over Z/p, field elimination pays a modular inverse per pivot, two-step
-        Bareiss one per entry for every two columns (13x slower at order 35,
-        up to 3.5 us faster at orders 1 to 4); over Z, Bareiss beats cofactor
-        expansion at every order (2.2x at order 4); over Z[x], it swells
-        intermediate polynomials (6x6 symbolic: cofactor 0.07 s, Bareiss
-        55 s).  The kernels are looked up when called, so a tracer that
+    def det(self):
+        """Raw determinant (``ring.one`` at order 0) by the one kernel of the
+        ring's kind, at every order.  Over Z/p, field elimination pays a modular
+        inverse per pivot, two-step Bareiss one per entry for every two columns
+        (13x slower at order 35, up to 3.5 us faster at orders 1 to 4); over Z,
+        Bareiss beats cofactor expansion at every order (2.2x at order 4); over
+        Z[x], it swells intermediate polynomials (6x6 symbolic: cofactor 0.07 s,
+        Bareiss 55 s).  The kernels are looked up when called, so a tracer that
         patches the module's names sees every call."""
         if not self.is_square:
             raise ShapeError(f"determinant of a {self.nrows}x{self.ncols} matrix")
         ring = self.ring
         if not self.nrows:
-            return RingElement(ring, ring.one)
+            return ring.one
         kind = ring.name
         kernel = _det_field if kind == "mod_p" else _det_bareiss if kind == "int" else _det_cofactor
-        return RingElement(ring, kernel(ring, self._rows))
+        return kernel(ring, self._rows)
 
-    def minor(self, rows, cols) -> RingElement:
+    def minor(self, rows, cols):
         """Raw minor: determinant of the selected submatrix, no cofactor sign."""
         rows, cols = tuple(rows), tuple(cols)
         if len(rows) != len(cols):

@@ -5,9 +5,9 @@ and sparse multivariate polynomials over Z.  A :class:`Ring` instance is a
 descriptor for *raw* values (Python ints, or :class:`Polynomial`), which
 compute with Python's operators and are reduced by :meth:`Ring.reduce`, the
 one arithmetic rule.  A raw value of any ring is zero exactly when it is
-falsy, and :meth:`Ring.coerce` is the one embedding of an int.
-:class:`RingElement` pairs a raw value with its ring, as a determinant or a
-report carries it.  All values are immutable.
+falsy, :meth:`Ring.coerce` is the one embedding of an int and :meth:`Ring.pow`
+the one power rule.  :class:`RingElement` pairs a raw value with its ring as
+a report's side.  All values are immutable.
 """
 from __future__ import annotations
 
@@ -329,6 +329,14 @@ class Ring:
         p = self.modulus
         return v % p if p else v
 
+    def pow(self, v, e: int):
+        """The one power rule: pow(v, e, p) over Z/p, v ** e over Z and Z[x].
+        A negative exponent is refused: pow(v, -1, p) would silently invert."""
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        p = self.modulus
+        return pow(v, e, p) if p else v ** e
+
     def format(self, a) -> str:
         return str(a)
 
@@ -336,10 +344,6 @@ class Ring:
         return self.coerce(_read_int(text))
 
     def coerce(self, v):
-        if isinstance(v, RingElement):
-            if v.ring != self:
-                raise RingMismatchError("element of another ring")
-            return v.value
         if isinstance(v, int):
             # int(): a bool is written and read back as 0 or 1
             return self.reduce(int(v))
@@ -561,10 +565,9 @@ def ring_from_doc(doc: dict) -> Ring:
 
 
 class RingElement:
-    """A raw value paired with its ring: what ``det()``, ``mu_prime`` and
-    reports carry.  Its one operation is the power rule; callers compute on
-    ``value``.  It equals an element of its ring with the same value, and an
-    int that the ring reads as that value."""
+    """A raw value paired with its ring: a side of a verification report, which
+    compares and formats it.  It equals an element of its ring with the same
+    value."""
 
     __slots__ = ("ring", "value")
 
@@ -577,17 +580,11 @@ class RingElement:
         self.value = value
 
     def __pow__(self, e: int):
-        """The one power rule: pow(v, e, p) over Z/p, v ** e over Z and Z[x]."""
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        p = self.ring.modulus
-        return RingElement(self.ring, pow(self.value, e, p) if p else self.value ** e)
+        return RingElement(self.ring, self.ring.pow(self.value, e))
 
     def __eq__(self, other):
         if isinstance(other, RingElement):
             return self.ring == other.ring and self.value == other.value
-        if isinstance(other, int):
-            return self.value == self.ring.coerce(other)
         return NotImplemented
 
     __hash__ = None
@@ -597,4 +594,3 @@ class RingElement:
 
     def __repr__(self):
         return f"<{self.ring.describe()}: {self}>"
-

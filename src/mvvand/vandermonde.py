@@ -109,8 +109,8 @@ def mu_matrix(X: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(X.ring, rows)
 
 
-def mu_prime(X: ExactMatrix) -> RingElement:
-    """Product of all order-(n+1) minors of X; empty product is one.
+def mu_prime(X: ExactMatrix):
+    """Raw product of all order-(n+1) minors of X; empty product is one.
 
     The minors are multiplied in colex order of the rows taken, so each
     partial product is mu' of the leading rows of X: over Z[x] it never
@@ -131,7 +131,7 @@ def mu_prime(X: ExactMatrix) -> RingElement:
         acc = acc * minor(taken, cols)
         if p:
             acc %= p
-    return RingElement(ring, acc)
+    return acc
 
 
 def _packed_basis(basis):
@@ -232,7 +232,7 @@ def pairing_matrix(X: ExactMatrix) -> ExactMatrix:
     for s in subsets:
         outside = [raw[i] for i in range(n + d) if i not in s]
         # one determinant per row j; each entry of this row multiplies d of them
-        block = [ExactMatrix(ring, [raw[j]] + outside).det().value for j in range(n + d)]
+        block = [ExactMatrix(ring, [raw[j]] + outside).det() for j in range(n + d)]
         rows.append(
             [ring.reduce(prod((block[j] for j in t), start=ring.one)) for t in subsets]
         )
@@ -284,29 +284,31 @@ class VerificationReport:
 
 
 def _report(
-    identity, n, d, lhs, rhs, expected, holds=True, predicted_sign=None, **extra
+    identity, n, d, ring, lhs, rhs, expected, holds=True, predicted_sign=None, **extra
 ) -> VerificationReport:
-    """The one comparison rule.  The sides are compared only when the side
-    condition ``holds``; otherwise the verdict is "unequal".  When the identity
-    predicts "equal-up-to-sign" they are compared up to sign, and the sign is
-    reported when visible (not when both sides vanish); otherwise exactly.
+    """The one comparison rule, on raw sides of ``ring``, which the report
+    pairs with it.  The sides are compared only when the side condition
+    ``holds``; otherwise the verdict is "unequal".  When the identity predicts
+    "equal-up-to-sign" they are compared up to sign, and the sign is reported
+    when visible (lhs != -lhs: not for 0, nor over Z/2); otherwise exactly.
     A ``predicted_sign`` pins the sign: unless lhs equals it times rhs the
     verdict is "unequal", so a sign fault cannot pass as the other sign."""
-    a, b, reduce = lhs.value, rhs.value, lhs.ring.reduce
+    reduce = ring.reduce
     up_to_sign = expected == "equal-up-to-sign"
     # -rhs by the one negation rule, only where it can decide the verdict
-    opposite = holds and (up_to_sign and a != b or predicted_sign == -1) and a == reduce(-b)
+    opposite = holds and (up_to_sign and lhs != rhs or predicted_sign == -1) and lhs == reduce(-rhs)
     if predicted_sign is not None:
-        holds = holds and (opposite if predicted_sign == -1 else a == b)
-    if holds and a == b:
+        holds = holds and (opposite if predicted_sign == -1 else lhs == rhs)
+    if holds and lhs == rhs:
         verdict = "equal-up-to-sign" if up_to_sign else "equal"
-        sign = 1 if up_to_sign and a else None
+        sign = 1 if up_to_sign and lhs != reduce(-lhs) else None
     elif holds and up_to_sign and opposite:
         verdict, sign = "equal-up-to-sign", -1
     else:
         verdict, sign = "unequal", None
     return VerificationReport(
-        identity, n, d, lhs.ring.describe(), lhs, rhs, verdict, expected, sign, **extra
+        identity, n, d, ring.describe(), RingElement(ring, lhs), RingElement(ring, rhs),
+        verdict, expected, sign, **extra
     )
 
 
@@ -314,13 +316,13 @@ def verify_hdv(X: ExactMatrix) -> VerificationReport:
     """Check det(nu^d mu X) = (mu' X)^n on an (n+d) x (n+1) matrix."""
     n, d = _shape_nd(X)
     lhs = veronese_matrix(mu_matrix(X), d).det()
-    return _report("hdv", n, d, lhs, mu_prime(X) ** n, "equal")
+    return _report("hdv", n, d, X.ring, lhs, X.ring.pow(mu_prime(X), n), "equal")
 
 
 def verify_dual(X: ExactMatrix) -> VerificationReport:
     """Check det(eta^d X) = +/- mu' X; the sign is reported when visible."""
     n, d = _shape_nd(X)
-    return _report("dual", n, d, eta_matrix(X).det(), mu_prime(X), "equal-up-to-sign")
+    return _report("dual", n, d, X.ring, eta_matrix(X).det(), mu_prime(X), "equal-up-to-sign")
 
 
 # (X, verify_hdv(X)) of the last matrix the column lemma checked
@@ -342,7 +344,7 @@ def verify_column_lemma(X: ExactMatrix, alpha, src: int, dst: int) -> Verificati
     if src == dst:
         raise BadIndexError(f"column lemma needs two distinct columns, got {_show(src)} twice")
     ring = X.ring
-    a = RingElement(ring, ring.coerce(alpha))
+    a = ring.coerce(alpha)
     # the column operations check src and dst before any determinant runs
     added_X = X.add_scaled_column(src, dst, a)
     scaled_X = X.scale_column(src, a)
@@ -358,11 +360,12 @@ def verify_column_lemma(X: ExactMatrix, alpha, src: int, dst: int) -> Verificati
         "lemma",
         n,
         d,
-        scaled.lhs,
-        RingElement(ring, ring.reduce(base.lhs.value * (a ** (n * comb(n + d, n + 1))).value)),
+        ring,
+        scaled.lhs.value,
+        ring.reduce(base.lhs.value * ring.pow(a, n * comb(n + d, n + 1))),
         "equal",
         holds=base.ok and added.ok and scaled.ok and added.lhs.value == base.lhs.value,
-        detail={"alpha": str(a), "src": src, "dst": dst},
+        detail={"alpha": ring.format(a), "src": src, "dst": dst},
     )
 
 
@@ -370,7 +373,7 @@ def verify_sym_power(u: ExactMatrix, d: int) -> VerificationReport:
     """Check det(S^d u) = (det u)^C(m+d-1, m)."""
     lhs = sym_power_matrix(u, d).det()
     m = u.nrows
-    return _report("sym", m, d, lhs, u.det() ** comb(m + d - 1, m), "equal")
+    return _report("sym", m, d, u.ring, lhs, u.ring.pow(u.det(), comb(m + d - 1, m)), "equal")
 
 
 def _pairing_sign(n: int, d: int) -> int:
@@ -397,8 +400,9 @@ def verify_pairing(X: ExactMatrix) -> VerificationReport:
         "abstract",
         n,
         d,
+        X.ring,
         P.det(),
-        mu_prime(X) ** (n + 1),
+        X.ring.pow(mu_prime(X), n + 1),
         "equal-up-to-sign",
         holds=diagonal,
         predicted_sign=_pairing_sign(n, d),
@@ -417,7 +421,7 @@ def demo_naive_failure(n: int, d: int, seed: int = 0) -> VerificationReport:
     X = random_matrix(ZZ, comb(n + d, n), n + 1, rng)
     lhs = veronese_matrix(X, d).det()
     expected = "unequal" if n >= 2 and d >= 2 else "equal"
-    return _report("naive", n, d, lhs, mu_prime(X), expected, seed=seed)
+    return _report("naive", n, d, ZZ, lhs, mu_prime(X), expected, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from mvvand.rings import ZZ, Polynomial, PolynomialRing, RingElement, _EXP_BITS
 
 
 def elem(ring, v) -> RingElement:
-    """Element of ``ring`` from an int, an element, or polynomial text."""
+    """Element of ``ring``, as a report's side, from an int or, over Z[x],
+    polynomial text."""
     return RingElement(ring, ring.coerce(v))
 
 
@@ -40,35 +41,34 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(ring, rows)
 
 
-def det_by(kernel, A: ExactMatrix) -> RingElement:
-    """Determinant of the square matrix A by one named kernel of
+def det_by(kernel, A: ExactMatrix):
+    """Raw determinant of the square matrix A by one named kernel of
     mvvand.matrix, such as ``_det_berkowitz``; one at order 0."""
     ring = A.ring
-    return RingElement(ring, kernel(ring, A.rows_raw()) if A.nrows else ring.one)
+    return kernel(ring, A.rows_raw()) if A.nrows else ring.one
 
 
 def det_mod_p(A: ExactMatrix) -> int:
     """Raw determinant of a matrix over Z/p: Bareiss over Z on the integer
     representatives, reduced mod p afterwards."""
-    return det_by(_det_bareiss, ExactMatrix(ZZ, A.rows_raw())).value % A.ring.modulus
+    return det_by(_det_bareiss, ExactMatrix(ZZ, A.rows_raw())) % A.ring.modulus
 
 
-def poly_eval(p: RingElement, point) -> RingElement:
-    """Value of a polynomial element at a point whose coordinates share one
-    ring (Z or Z/p); the result lives in that ring."""
-    if len(point) != p.ring.nvars:
+def poly_eval(p: Polynomial, point, target):
+    """Raw value of a polynomial at a point of raw values of ``target`` (Z or
+    Z/p); the result lives in that ring."""
+    if len(point) != p.nvars:
         raise RingMismatchError(
-            f"point has {len(point)} coordinates, expected {p.ring.nvars}"
+            f"point has {len(point)} coordinates, expected {p.nvars}"
         )
-    target = point[0].ring
     acc = target.zero
-    for exps, c in items_exponents(p.value):
+    for exps, c in items_exponents(p):
         term = target.coerce(c)
         for x, e in zip(point, exps):
             if e:
-                term = target.reduce(term * (x ** e).value)
+                term = target.reduce(term * target.pow(x, e))
         acc = target.reduce(acc + term)
-    return RingElement(target, acc)
+    return acc
 
 
 def items_exponents(p: Polynomial):
@@ -109,14 +109,14 @@ def format_polynomial(ring: PolynomialRing, p: Polynomial) -> str:
     return out
 
 
-def minor_product_lex(X: ExactMatrix) -> RingElement:
-    """Product of the order-(n+1) minors of X, each by its own determinant,
-    multiplied in lex order of the rows taken."""
+def minor_product_lex(X: ExactMatrix):
+    """Raw product of the order-(n+1) minors of X, each by its own
+    determinant, multiplied in lex order of the rows taken."""
     ring, cols = X.ring, range(X.ncols)
     acc = ring.one
     for taken in combinations(range(X.nrows), X.ncols):
-        acc = ring.reduce(acc * X.minor(taken, cols).value)
-    return RingElement(ring, acc)
+        acc = ring.reduce(acc * X.minor(taken, cols))
+    return acc
 
 
 def expand_linear_forms(ring, forms, nvars):

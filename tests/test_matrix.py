@@ -79,7 +79,7 @@ class TestDeterminant:
             A = random_matrix(ZZ, 4, 4, seeded_rng("swap", t))
             rows = [list(r) for r in A.rows_raw()]
             rows[0], rows[2] = rows[2], rows[0]
-            assert M(rows).det() == -A.det().value
+            assert M(rows).det() == -A.det()
 
     def test_repeated_row_is_zero(self):
         for t in range(25):
@@ -173,7 +173,7 @@ class TestTwoStepBareiss:
                 expected = det_by(_det_cofactor, A)
                 assert det_by(_det_berkowitz, A) == expected
                 assert det_by(_det_bareiss, A) == expected
-                assert (expected == 0) == zero
+                assert (expected == ring.zero) == zero
 
     @pytest.mark.parametrize("ring", TWO_STEP_RINGS, ids=["int", "mod_p", "poly"])
     def test_random_orders_match_oracles(self, ring):
@@ -203,7 +203,7 @@ class TestTwoStepBareiss:
         for t in range(2):
             X = random_matrix(ZZ, n + d, n + 1, seeded_rng("hdv", "int", n, d, t))
             for A in (veronese_matrix(mu_matrix(X), d), eta_matrix(X)):
-                value = A.det().value
+                value = A.det()
                 for p in (1_000_003, 998_244_353, 2**61 - 1):
                     F = PrimeField(p)
                     rows = [[v % p for v in r] for r in A.rows_raw()]
@@ -234,7 +234,7 @@ class TestDeterminantRule:
         for order in range(1, 7):
             A = random_matrix(ring, order, order, seeded_rng("rule", order))
             assert A.det() == det_by(_det_berkowitz, A)
-        assert ExactMatrix(ring, []).det() == 1
+        assert ExactMatrix(ring, []).det() == ring.one
         assert calls == [kernel] * 6
 
     @pytest.mark.parametrize(
@@ -283,8 +283,8 @@ class TestFieldDeterminant:
     @pytest.mark.parametrize("ring", [F7, FP])
     def test_explicit_cases(self, ring, rows, expected):
         A = M(rows, ring)
-        assert A.det() == expected
-        assert det_by(_det_cofactor, A) == expected
+        assert A.det() == ring.coerce(expected)
+        assert det_by(_det_cofactor, A) == ring.coerce(expected)
 
     @pytest.mark.parametrize("p", [2, 3, 1_000_003, 2**61 - 1])
     @pytest.mark.parametrize("n", [10, 20, 35])
@@ -312,7 +312,7 @@ class TestFieldDeterminant:
         cases += [repeated, swap, zero_column]
         for c in cases:
             A = ExactMatrix(F, c)
-            assert A.det().value == det_mod_p(A)
+            assert A.det() == det_mod_p(A)
         assert det_mod_p(ExactMatrix(F, repeated)) == 0
         assert det_mod_p(ExactMatrix(F, zero_column)) == 0
         if p > 3:
@@ -360,7 +360,7 @@ class TestMinors:
         for k in range(min(A.nrows, A.ncols) + 1):
             for rows in combinations(range(A.nrows), k):
                 for cols in combinations(range(A.ncols), k):
-                    expected = det_by(_det_berkowitz, submatrix(A, rows, cols)).value
+                    expected = det_by(_det_berkowitz, submatrix(A, rows, cols))
                     assert minor(rows, cols) == expected
         if A.is_square:
             # the cofactor kernel is the table's expansion on the full matrix

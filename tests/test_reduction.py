@@ -63,7 +63,7 @@ def test_constructions_reduce_the_integer_ones(p):
         n, d, rows, square = case
         Xp, Xz = ExactMatrix(F, rows), ExactMatrix(ZZ, rows)
         assert mu_matrix(Xp).rows_raw() == _reduced(mu_matrix(Xz), p)
-        assert mu_prime(Xp).value == mu_prime(Xz).value % p
+        assert mu_prime(Xp) == mu_prime(Xz) % p
         assert eta_matrix(Xp).rows_raw() == _reduced(eta_matrix(Xz), p)
         assert pairing_matrix(Xp).rows_raw() == _reduced(pairing_matrix(Xz), p)
         up, uz = ExactMatrix(F, square), ExactMatrix(ZZ, square)
@@ -76,7 +76,7 @@ def test_constructions_reduce_the_integer_ones(p):
                 Mz.add_scaled_column(0, n, alpha), p
             )
         for kernel in (_det_bareiss, _det_berkowitz):
-            assert det_by(kernel, up).value == det_by(kernel, uz).value % p
+            assert det_by(kernel, up) == det_by(kernel, uz) % p
         if d >= 1 and all(any(v % p for v in row) for row in rows):
             verdict = in_general_position(PointConfiguration(Xp))
             # the lex-least row subset whose integer minor vanishes mod p
@@ -84,7 +84,7 @@ def test_constructions_reduce_the_integer_ones(p):
                 (
                     taken
                     for taken in combinations(range(n + d), n + 1)
-                    if Xz.minor(taken, range(n + 1)).value % p == 0
+                    if Xz.minor(taken, range(n + 1)) % p == 0
                 ),
                 None,
             )

@@ -6,7 +6,7 @@ import pytest
 from mvvand import vandermonde
 from mvvand.errors import BadIndexError, ExponentOverflowError, ShapeError
 from mvvand.matrix import ExactMatrix, _det_berkowitz, _det_cofactor, random_matrix, seeded_rng
-from mvvand.rings import Polynomial, PolynomialRing, PrimeField, RingElement, ZZ
+from mvvand.rings import Polynomial, PolynomialRing, PrimeField, ZZ
 from mvvand.selftest import dual_identity
 from mvvand.vandermonde import (
     _exponents,
@@ -30,7 +30,6 @@ from mvvand.vandermonde import (
 
 from oracles import (
     det_by,
-    elem,
     eta_matrix_by_tuples,
     identity,
     matmul,
@@ -144,7 +143,7 @@ class TestMinorMatrix:
         X = random_matrix(ring, m, ncols, seeded_rng("muorder", m))
         cols = range(ncols)
         expect = [
-            [det_by(_det_berkowitz, submatrix(X, taken, [c for c in cols if c != j])).value
+            [det_by(_det_berkowitz, submatrix(X, taken, [c for c in cols if c != j]))
              for j in cols]
             for taken in _lex_on_omitted(m, ncols - 1)
         ]
@@ -181,7 +180,7 @@ class TestMinorProduct:
         expect = ring.one
         for i, j in combinations(range(3), 2):
             expect = expect * ring.parse(f"X{i}*Y{j} - X{j}*Y{i}")
-        assert mu_prime(X).value == expect
+        assert mu_prime(X) == expect
 
     def test_empty_product_is_one(self):
         X = random_matrix(ZZ, 2, 3, seeded_rng("muprime0"))
@@ -270,7 +269,7 @@ class TestSymPower:
         ring = PolynomialRing(["a", "b", "c", "d"])
         u = ExactMatrix.from_rows(ring, [["a", "b"], ["c", "d"]])
         det = det_by(_det_cofactor, sym_power_matrix(u, 2))
-        assert det == elem(ring, "a*d - b*c") ** 3
+        assert det == ring.pow(ring.parse("a*d - b*c"), 3)
 
     def test_functorial(self):
         for t in range(10):
@@ -366,7 +365,7 @@ class TestPairing:
                 entry = ring.one
                 for j in s_prime:
                     block = ExactMatrix(ring, [raw[j]] + outside)
-                    entry = ring.reduce(entry * det_by(_det_berkowitz, block).value)
+                    entry = ring.reduce(entry * det_by(_det_berkowitz, block))
                 row.append(entry)
             expect.append(row)
         assert pairing_matrix(X) == ExactMatrix(ring, expect)
@@ -430,12 +429,12 @@ class TestVerifyHdv:
     def test_worked_example(self):
         report = verify_hdv(WORKED)
         assert report.verdict == "equal"
-        assert report.lhs == -1 and report.rhs == -1
+        assert report.lhs.value == -1 and report.rhs.value == -1
 
     def test_identity_degree_one(self):
         for n in range(1, 4):
             report = verify_hdv(identity(ZZ, n + 1))
-            assert report.verdict == "equal" and report.lhs == 1
+            assert report.verdict == "equal" and report.lhs.value == 1
 
     def test_symbolic_projective_line_matches_product_formula(self):
         names = [v for i in range(3) for v in (f"X{i}", f"Y{i}")]
@@ -443,12 +442,12 @@ class TestVerifyHdv:
         X = ExactMatrix.from_rows(ring, [[f"X{i}", f"Y{i}"] for i in range(3)])
         report = verify_hdv(X)
         assert report.verdict == "equal"
-        assert report.lhs == mu_prime(X)
+        assert report.lhs.value == mu_prime(X)
 
     def test_degree_zero_trivial(self):
         X = random_matrix(ZZ, 2, 3, seeded_rng("hdv0"))
         report = verify_hdv(X)
-        assert report.verdict == "equal" and report.lhs == 1
+        assert report.verdict == "equal" and report.lhs.value == 1
 
     def test_mod_p(self):
         fp = PrimeField(1_000_003)
@@ -468,13 +467,13 @@ class TestVerifyDual:
         report = verify_dual(WORKED)
         assert report.verdict == "equal-up-to-sign"
         assert report.sign == 1
-        assert report.lhs == -1 and report.rhs == -1
+        assert report.lhs.value == -1 and report.rhs.value == -1
 
     def test_repeated_row_degenerate(self):
         X = ExactMatrix.from_rows(ZZ, [[1, 2], [1, 2], [3, 4]])
         report = verify_dual(X)
         assert report.verdict == "equal-up-to-sign"
-        assert report.lhs == 0 and report.rhs == 0
+        assert report.lhs.value == 0 and report.rhs.value == 0
         assert report.sign is None
 
     def test_sign_constant_per_shape(self):
@@ -580,7 +579,7 @@ class TestColumnLemma:
         X = random_matrix(PrimeField(p), 4, 3, seeded_rng("lemma-modp"))
         base = verify_hdv(X).lhs
         report = verify_column_lemma(X, alpha, 0, 2)
-        assert report.verdict == "equal" and base != 0
+        assert report.verdict == "equal" and base.value != 0
         # n = 2, d = 2: the sides scale by alpha^(2 * C(4, 3))
         assert report.rhs.value == base.value * pow(alpha, 8, p) % p
 
@@ -597,11 +596,11 @@ class TestVerifySymPower:
     def test_diagonal_example(self):
         u = ExactMatrix.from_rows(ZZ, [[2, 0], [0, 3]])
         report = verify_sym_power(u, 2)
-        assert report.verdict == "equal" and report.lhs == 216
+        assert report.verdict == "equal" and report.lhs.value == 216
 
     def test_identity(self):
         report = verify_sym_power(identity(ZZ, 3), 2)
-        assert report.verdict == "equal" and report.lhs == 1
+        assert report.verdict == "equal" and report.lhs.value == 1
 
     def test_symbolic(self):
         assert verify_sym_power(symbolic_matrix(2, 2), 2).verdict == "equal"
@@ -629,11 +628,11 @@ class TestNaiveComparison:
         # symbolic degrees: det(nu^2 X) has degree 12, the minor product 60
         X = symbolic_matrix(6, 3)
         lhs = det_by(_det_cofactor, veronese_matrix(X, 2))
-        assert lhs.value.total_degree() == 12
+        assert lhs.total_degree() == 12
         # degree of the minor product is the sum of the factor degrees;
         # expanding the product itself is far too large to be worthwhile
         minor_degrees = [
-            X.minor(rows, (0, 1, 2)).value.total_degree()
+            X.minor(rows, (0, 1, 2)).total_degree()
             for rows in combinations(range(6), 3)
         ]
         assert sum(minor_degrees) == 60
@@ -674,7 +673,7 @@ class TestComparisonRule:
         ring, *values = REPORT_VALUES[ring_id]
         value = dict(zip(("v", "neg", "w", "zero"), values))
         report = _report(
-            "t", 1, 1, RingElement(ring, value[lhs]), RingElement(ring, value[rhs]), expected,
+            "t", 1, 1, ring, value[lhs], value[rhs], expected,
             **options,
         )
         assert (report.verdict, report.sign) == (verdict, sign)
@@ -697,8 +696,7 @@ class TestComparisonRule:
         mu_prime_true = vandermonde.mu_prime
 
         def off_by_one(X):
-            m = mu_prime_true(X)
-            return RingElement(m.ring, m.ring.reduce(m.value + m.ring.one))
+            return X.ring.reduce(mu_prime_true(X) + X.ring.one)
 
         monkeypatch.setattr(vandermonde, "mu_prime", off_by_one)
         report = verify(WORKED)
@@ -716,10 +714,44 @@ class TestComparisonRule:
         monkeypatch.setattr(vandermonde, "pairing_matrix", skewed)
         report = verify_pairing(WORKED)
         # the triangular change keeps det, so only the side condition fails
-        assert report.lhs == -report.rhs.value
+        assert report.lhs.value == -report.rhs.value
         assert report.verdict == "unequal" and report.sign is None
         assert report.detail == {"diagonal": False}
         assert not report.ok
+
+    # over Z/2 every value equals its negative, so no sign is visible: the
+    # worked rows reported "sign": 1 there, though _pairing_sign(1, 2) = -1
+    # and the same rows over Z give -1
+    @pytest.mark.parametrize("options", [{}, PLUS, MINUS], ids=["free", "plus", "minus"])
+    def test_no_sign_over_z2(self, options):
+        report = _report("t", 1, 1, PrimeField(2), 1, 1, UP_TO_SIGN, **options)
+        assert report.verdict == UP_TO_SIGN and "sign" not in report.to_doc()
+
+    @pytest.mark.parametrize("verify", [verify_dual, verify_pairing], ids=["dual", "abstract"])
+    def test_verifiers_report_no_sign_over_z2(self, verify):
+        doc = verify(ExactMatrix.from_rows(PrimeField(2), WORKED.rows_raw())).to_doc()
+        assert (doc["verdict"], doc["expected"]) == (UP_TO_SIGN, UP_TO_SIGN)
+        assert doc["lhs"] == doc["rhs"] == "1" and "sign" not in doc
+
+
+@pytest.mark.parametrize(
+    "ring", [ZZ, PrimeField(7), PolynomialRing(["x", "y"])], ids=["ZZ", "F7", "ZZ[x,y]"]
+)
+def test_det_minor_and_mu_prime_return_raw_values(ring):
+    # int over Z, int in [0, p) over Z/p, Polynomial over Z[x]; order 0 and
+    # the empty product (2 rows, 3 columns) are the ring's one
+    rng = seeded_rng("raw-values", ring.describe())
+    X = random_matrix(ring, 4, 2, rng)
+    square = ExactMatrix(ring, X.rows_raw()[1:3])
+    ones = [ExactMatrix(ring, []).det(), X.minor((), ()), mu_prime(random_matrix(ring, 2, 3, rng))]
+    values = [square.det(), X.minor((0, 3), (0, 1)), mu_prime(X)]
+    for v in values + ones:
+        if ring.name == "poly":
+            assert type(v) is Polynomial and v.nvars == ring.nvars
+        else:
+            assert type(v) is int and (not ring.modulus or 0 <= v < ring.modulus)
+    assert ones == [ring.one] * 3
+    assert values[0] == X.minor((1, 2), (0, 1)) == det_by(_det_berkowitz, square)
 
 
 def _pairing_with_block(mutate):
@@ -738,7 +770,7 @@ def _pairing_with_block(mutate):
                 rows_j = [raw[j]] + outside
                 if s == subsets[0] and j == s[0]:
                     rows_j = mutate(rows_j)
-                block.append(ExactMatrix(ring, rows_j).det().value)
+                block.append(ExactMatrix(ring, rows_j).det())
             rows.append([prod((block[j] for j in t), start=ring.one) for t in subsets])
         return ExactMatrix(ring, rows)
 
@@ -766,7 +798,7 @@ class TestPairingSignMutations:
     def test_sign_fault_is_unequal(self, mutate, monkeypatch):
         monkeypatch.setattr(vandermonde, "pairing_matrix", _pairing_with_block(mutate))
         report = verify_pairing(self.X)
-        assert report.lhs == -report.rhs.value and report.lhs != 0
+        assert report.lhs.value == -report.rhs.value and report.lhs.value != 0
         assert report.verdict == "unequal" and report.sign is None
         assert not report.ok
 
