@@ -26,7 +26,6 @@ from .matrix import ExactMatrix, dumps_doc, random_matrix, seeded_rng
 from .rings import DEFAULT_PRIME, PrimeField, ZZ, _show
 from .selftest import run_all
 from .vandermonde import (
-    SYMBOLIC_CAP,
     demo_naive_failure,
     eta_matrix,
     monomial_basis,
@@ -40,6 +39,8 @@ from .vandermonde import (
     verify_sym_power,
     veronese_matrix,
 )
+
+SYMBOLIC_CAP = 10  # default bound on C(n+d, n) for symbolic verification
 
 
 def _wide(n, d):

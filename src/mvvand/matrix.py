@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 from .errors import BadIndexError, BadRingError, ParseError, ShapeError
-from .rings import Ring, _show, ring_from_doc
+from .rings import Ring, ring_from_doc
 
 
 class ExactMatrix:
@@ -58,36 +58,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.ring.describe()}, {self.nrows}x{self.ncols})"
-
-    # -- shape operations ---------------------------------------------------
-
-    def scale_column(self, col: int, alpha) -> "ExactMatrix":
-        if not 0 <= col < self.ncols:
-            raise BadIndexError(f"column {_show(col)} out of range")
-        a = self.ring.coerce(alpha)
-        reduce = self.ring.reduce
-        return ExactMatrix(
-            self.ring,
-            [
-                [reduce(v * a) if j == col else v for j, v in enumerate(r)]
-                for r in self._rows
-            ],
-        )
-
-    def add_scaled_column(self, src: int, dst: int, alpha) -> "ExactMatrix":
-        """Column operation: dst += alpha * src."""
-        for j in (src, dst):
-            if not 0 <= j < self.ncols:
-                raise BadIndexError(f"column {_show(j)} out of range")
-        a = self.ring.coerce(alpha)
-        reduce = self.ring.reduce
-        return ExactMatrix(
-            self.ring,
-            [
-                [reduce(v + a * r[src]) if j == dst else v for j, v in enumerate(r)]
-                for r in self._rows
-            ],
-        )
 
     # -- determinants -------------------------------------------------------
 

@@ -5,9 +5,11 @@ and sparse multivariate polynomials over Z.  A :class:`Ring` instance is a
 descriptor for *raw* values (Python ints, or :class:`Polynomial`), which
 compute with Python's operators and are reduced by :meth:`Ring.reduce`, the
 one arithmetic rule.  A raw value of any ring is zero exactly when it is
-falsy, :meth:`Ring.coerce` is the one embedding of an int and :meth:`Ring.pow`
-the one power rule.  :class:`RingElement` pairs a raw value with its ring as
-a report's side.  All values are immutable.
+falsy, and :meth:`Ring.pow` is the one power rule.  :meth:`Ring.coerce` is
+the one embedding of an int (over Z[x], of polynomial text too); it refuses
+any other value, a raw polynomial of any ring included, since a polynomial
+knows only its arity, not its variable names.  :class:`RingElement` pairs a
+raw value with its ring as a report's side.  All values are immutable.
 """
 from __future__ import annotations
 
@@ -444,10 +446,6 @@ class PolynomialRing(Ring):
         return a.exact_div(b)
 
     def coerce(self, v):
-        if isinstance(v, Polynomial):
-            if v.nvars != self.nvars:
-                raise RingMismatchError("polynomial has wrong arity for this ring")
-            return v
         if isinstance(v, str):
             return self.parse(v)
         if isinstance(v, int):

@@ -19,8 +19,6 @@ from .errors import BadIndexError, ExponentOverflowError, ShapeError
 from .matrix import ExactMatrix, _minor_table, random_matrix, seeded_rng
 from .rings import _EXP_LIMIT, Polynomial, PolynomialRing, RingElement, ZZ, _show
 
-SYMBOLIC_CAP = 10  # default bound on C(n+d, n) for symbolic verification
-
 
 # ---------------------------------------------------------------------------
 # monomial basis
@@ -334,6 +332,12 @@ def verify_column_lemma(X: ExactMatrix, alpha, src: int, dst: int) -> Verificati
     column dst changes neither side, and scaling column src by alpha scales
     both sides by alpha^(n*C(n+d, n+1)).
 
+    Before any determinant runs, the columns are checked in this order: two
+    distinct columns, then src, then dst in range(ncols), so a negative index
+    is refused, not read from the end.  alpha is coerced once, and the added
+    and scaled matrices are built from the raw rows of X, each changed entry
+    reduced once.
+
     The base report ``verify_hdv(X)`` of the last matrix checked is kept in
     one slot, keyed on an equal matrix (the same ring and the same rows), so
     checking one matrix for several scalars runs it once.  The memo sits here
@@ -343,11 +347,15 @@ def verify_column_lemma(X: ExactMatrix, alpha, src: int, dst: int) -> Verificati
     n, d = _shape_nd(X)
     if src == dst:
         raise BadIndexError(f"column lemma needs two distinct columns, got {_show(src)} twice")
-    ring = X.ring
+    for j in (src, dst):
+        if not 0 <= j < X.ncols:
+            raise BadIndexError(f"column {_show(j)} out of range")
+    ring, reduce, rows = X.ring, X.ring.reduce, X.rows_raw()
     a = ring.coerce(alpha)
-    # the column operations check src and dst before any determinant runs
-    added_X = X.add_scaled_column(src, dst, a)
-    scaled_X = X.scale_column(src, a)
+    added_X = ExactMatrix(
+        ring, [r[:dst] + (reduce(r[dst] + a * r[src]),) + r[dst + 1:] for r in rows]
+    )
+    scaled_X = ExactMatrix(ring, [r[:src] + (reduce(a * r[src]),) + r[src + 1:] for r in rows])
     # one read and one write of the slot, so no other caller swaps the report
     # between the key check and its use
     slot = _lemma_base
@@ -362,7 +370,7 @@ def verify_column_lemma(X: ExactMatrix, alpha, src: int, dst: int) -> Verificati
         d,
         ring,
         scaled.lhs.value,
-        ring.reduce(base.lhs.value * ring.pow(a, n * comb(n + d, n + 1))),
+        reduce(base.lhs.value * ring.pow(a, n * comb(n + d, n + 1))),
         "equal",
         holds=base.ok and added.ok and scaled.ok and added.lhs.value == base.lhs.value,
         detail={"alpha": ring.format(a), "src": src, "dst": dst},

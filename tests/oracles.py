@@ -2,6 +2,7 @@
 builders for the tests; the package itself has no use for them."""
 from itertools import combinations
 
+from mvvand import vandermonde
 from mvvand.errors import RingMismatchError
 from mvvand.matrix import ExactMatrix, _det_bareiss
 from mvvand.rings import ZZ, Polynomial, PolynomialRing, RingElement, _EXP_BITS
@@ -17,6 +18,34 @@ def identity(ring, n: int) -> ExactMatrix:
     """The n x n identity matrix over ``ring``."""
     one, zero = ring.one, ring.zero
     return ExactMatrix(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def elementary(ring, m: int, i: int, j: int, a) -> ExactMatrix:
+    """The m x m identity over ``ring`` with the raw value ``a`` at (i, j):
+    multiplying by it on the right adds a times column i to column j, or
+    for i == j scales column i by a."""
+    rows = [list(r) for r in identity(ring, m).rows_raw()]
+    rows[i][j] = a
+    return ExactMatrix(ring, rows)
+
+
+def lemma_matrices(X: ExactMatrix, alpha, src: int, dst: int) -> tuple:
+    """(report, added, scaled) of ``verify_column_lemma(X, alpha, src, dst)``:
+    the two matrices it builds, read from its last two calls of
+    ``verify_hdv``, the added one first."""
+    seen = []
+    true_hdv = vandermonde.verify_hdv
+
+    def recording(M):
+        seen.append(M)
+        return true_hdv(M)
+
+    vandermonde.verify_hdv = recording
+    try:
+        report = vandermonde.verify_column_lemma(X, alpha, src, dst)
+    finally:
+        vandermonde.verify_hdv = true_hdv
+    return (report, *seen[-2:])
 
 
 def submatrix(M: ExactMatrix, rows, cols) -> ExactMatrix:

@@ -22,7 +22,7 @@ from mvvand.matrix import (
 from mvvand.rings import Polynomial, PolynomialRing, PrimeField, ZZ
 from mvvand.selftest import NUMERIC_GRID
 from mvvand.vandermonde import eta_matrix, mu_matrix, veronese_matrix
-from oracles import det_by, det_mod_p, identity, submatrix
+from oracles import det_by, det_mod_p, identity, lemma_matrices, submatrix
 
 XYZ = PolynomialRing(["x", "y", "z"])
 XY = PolynomialRing(["x", "y"])
@@ -404,23 +404,28 @@ class TestMinors:
 
 
 class TestColumnOps:
+    """The column operations of the column lemma, read from the two matrices
+    it builds: dst += alpha * src, and src *= alpha."""
+
     def test_add_scaled_column(self):
-        out = identity(ZZ, 2).add_scaled_column(0, 1, 1)
-        assert out == M([[1, 1], [0, 1]])
+        _, added, _ = lemma_matrices(identity(ZZ, 2), 1, 0, 1)
+        assert added == M([[1, 1], [0, 1]])
 
     def test_scale_column(self):
-        out = M([[1, 0], [0, 1], [1, 1]]).scale_column(0, 2)
-        assert out == M([[2, 0], [0, 1], [2, 1]])
+        _, _, scaled = lemma_matrices(M([[1, 0], [0, 1], [1, 1]]), 2, 0, 1)
+        assert scaled == M([[2, 0], [0, 1], [2, 1]])
 
     def test_original_unchanged(self):
         A = identity(ZZ, 2)
-        A.add_scaled_column(0, 1, 5)
+        lemma_matrices(A, 5, 0, 1)
         assert A == identity(ZZ, 2)
 
     def test_det_invariance_under_add_scaled(self):
+        # a square matrix is the lemma's shape at d = 1
         for t in range(25):
             A = random_matrix(ZZ, 4, 4, seeded_rng("addcol", t))
-            assert A.add_scaled_column(1, 3, 7).det() == A.det()
+            _, added, _ = lemma_matrices(A, 7, 1, 3)
+            assert added.det() == A.det()
 
 
 class TestFileFormat:

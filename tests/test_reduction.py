@@ -1,7 +1,8 @@
 """Over Z/p every computation runs Python's operators on integer
 representatives and reduces by the modulus: the constructors once per stored
-value, the kernels and column operations as they go.  Every result must equal
-the same computation over Z on the representatives, reduced mod p afterwards."""
+value, the kernels and the column lemma's column operations as they go.
+Every result must equal the same computation over Z on the representatives,
+reduced mod p afterwards."""
 from itertools import combinations
 
 import pytest
@@ -19,7 +20,7 @@ from mvvand.vandermonde import (
     veronese_matrix,
 )
 
-from oracles import det_by
+from oracles import det_by, lemma_matrices
 
 PRIMES = [2, 3, 1_000_003, 2**61 - 1]
 
@@ -70,11 +71,15 @@ def test_constructions_reduce_the_integer_ones(p):
         for e in range(4):
             assert veronese_matrix(Xp, e).rows_raw() == _reduced(veronese_matrix(Xz, e), p)
             assert sym_power_matrix(up, e).rows_raw() == _reduced(sym_power_matrix(uz, e), p)
+        # the column lemma's added and scaled matrices and its sides; a
+        # square matrix is its shape at d = 1
         for Mp, Mz in ((Xp, Xz), (up, uz)):
-            assert Mp.scale_column(n, alpha).rows_raw() == _reduced(Mz.scale_column(n, alpha), p)
-            assert Mp.add_scaled_column(0, n, alpha).rows_raw() == _reduced(
-                Mz.add_scaled_column(0, n, alpha), p
-            )
+            over_p, *built_p = lemma_matrices(Mp, alpha, 0, n)
+            over_z, *built_z = lemma_matrices(Mz, alpha, 0, n)
+            assert [B.rows_raw() for B in built_p] == [_reduced(B, p) for B in built_z]
+            assert over_p.lhs.value == over_z.lhs.value % p
+            assert over_p.rhs.value == over_z.rhs.value % p
+            assert over_p.verdict == over_z.verdict == "equal"
         for kernel in (_det_bareiss, _det_berkowitz):
             assert det_by(kernel, up) == det_by(kernel, uz) % p
         if d >= 1 and all(any(v % p for v in row) for row in rows):

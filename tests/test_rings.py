@@ -118,9 +118,9 @@ class TestRingEquality:
         yx = PolynomialRing(["y", "x"])
         with pytest.raises(RingMismatchError):
             XY.parse("x") + Polynomial.variable(3, 0)
-        with pytest.raises(RingMismatchError):
+        with pytest.raises(BadRingError):
             XY.coerce(Polynomial.variable(3, 0))
-        # coerce embeds ints (and, over Z[x], text and polynomials); an
+        # coerce embeds ints (and, over Z[x], text); a raw polynomial or an
         # element of any ring, its own included, is refused
         with pytest.raises(BadRingError):
             F7.coerce(elem(PrimeField(11), 1))
@@ -128,6 +128,17 @@ class TestRingEquality:
             ZZ.coerce(elem(F7, 3))
         with pytest.raises(BadRingError):
             yx.coerce(elem(XY, "x"))
+
+    @pytest.mark.parametrize("source", [XY, PolynomialRing(["y", "x"])], ids=["x,y", "own"])
+    def test_raw_polynomial_is_refused(self, source):
+        # a polynomial knows only its arity: read into ["y", "x"], the x of
+        # ["x", "y"] would be renamed y
+        yx = PolynomialRing(["y", "x"])
+        x = source.parse("x")
+        with pytest.raises(BadRingError):
+            yx.coerce(x)
+        with pytest.raises(BadRingError):
+            ExactMatrix.from_rows(yx, [[x]])
 
 
 class TestExactDivision:

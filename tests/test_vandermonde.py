@@ -30,8 +30,10 @@ from mvvand.vandermonde import (
 
 from oracles import (
     det_by,
+    elementary,
     eta_matrix_by_tuples,
     identity,
+    lemma_matrices,
     matmul,
     minor_product_lex,
     submatrix,
@@ -504,9 +506,11 @@ def _count_dets(monkeypatch) -> list:
 class TestColumnLemma:
     def test_hand_scaling(self):
         # scaling column 0 by 2 multiplies the minor product by 2^3
-        scaled = WORKED.scale_column(0, 2)
+        report, added, scaled = lemma_matrices(WORKED, 2, 0, 1)
+        assert added == ExactMatrix.from_rows(ZZ, [[1, 2], [0, 1], [1, 3]])
+        assert scaled == ExactMatrix.from_rows(ZZ, [[2, 0], [0, 1], [2, 1]])
         assert mu_prime(scaled) == -8
-        assert verify_column_lemma(WORKED, 2, 0, 1).verdict == "equal"
+        assert report.verdict == "equal"
 
     def test_alpha_one_is_noop(self):
         report = verify_column_lemma(WORKED, 1, 0, 1)
@@ -517,21 +521,74 @@ class TestColumnLemma:
         for t in range(10):
             X = random_matrix(ZZ, 4, 3, seeded_rng("lemma-add", t))
             base = verify_hdv(X)
-            added = verify_hdv(X.add_scaled_column(1, 0, 5))
+            _, added_X, _ = lemma_matrices(X, 5, 1, 0)
+            added = verify_hdv(added_X)
             assert added.lhs == base.lhs and added.rhs == base.rhs
+
+    @pytest.mark.parametrize(
+        "X,alpha,src,dst",
+        [
+            pytest.param(random_matrix(ZZ, 4, 3, seeded_rng("lemma-ops", 0)), -3, 2, 0, id="int"),
+            pytest.param(
+                random_matrix(PrimeField(1_000_003), 4, 3, seeded_rng("lemma-ops", 1)), -1, 0, 2,
+                id="mod_p",
+            ),
+            # alpha past p, and products past p before reduction
+            pytest.param(
+                random_matrix(PrimeField(7), 5, 3, seeded_rng("lemma-ops", 2)), 12, 1, 2, id="mod_7"
+            ),
+            pytest.param(symbolic_matrix(3, 2), -2, 1, 0, id="poly"),
+            pytest.param(symbolic_matrix(3, 2), "x0_0 - 1", 0, 1, id="poly-text-alpha"),
+        ],
+    )
+    def test_elementary_products(self, X, alpha, src, dst):
+        # the added and scaled matrices are X times an elementary matrix, and
+        # the sides are those of the scaled product and of the scaled base
+        ring = X.ring
+        a = ring.coerce(alpha)
+        report, added, scaled = lemma_matrices(X, alpha, src, dst)
+        expected_scaled = matmul(X, elementary(ring, X.ncols, src, src, a))
+        assert added == matmul(X, elementary(ring, X.ncols, src, dst, a))
+        assert scaled == expected_scaled
+        n, d = X.ncols - 1, X.nrows - X.ncols + 1
+        assert report.verdict == "equal"
+        assert report.lhs == verify_hdv(expected_scaled).lhs
+        assert report.rhs.value == ring.reduce(
+            verify_hdv(X).lhs.value * ring.pow(a, n * comb(n + d, n + 1))
+        )
 
     def test_report_detail(self):
         doc = verify_column_lemma(WORKED, 3, 0, 1).to_doc()
         assert doc["alpha"] == "3" and (doc["src"], doc["dst"]) == (0, 1)
 
-    @pytest.mark.parametrize("src,dst", [(5, 0), (0, 5), (-1, 0)])
+    @pytest.mark.parametrize("src,dst", [(5, 0), (0, 5), (-1, 0), (0, -1)])
     def test_bad_column_runs_no_determinant(self, src, dst, monkeypatch):
-        # an out-of-range column used to cost a full base check first
+        # an out-of-range column used to cost a full base check first; no
+        # matrix is built either, so -1 is never read as the last column
         X = random_matrix(ZZ, 7, 5, seeded_rng("lemma-bad"))
         calls = _count_dets(monkeypatch)
+        built = []
+        monkeypatch.setattr(vandermonde, "ExactMatrix", lambda *args: built.append(args))
         with pytest.raises(BadIndexError):
             verify_column_lemma(X, 2, src, dst)
-        assert calls == []
+        assert calls == [] and built == []
+
+    @pytest.mark.parametrize(
+        "src,dst,message",
+        [
+            (9, 9, "column lemma needs two distinct columns, got 9 twice"),
+            (-1, -1, "column lemma needs two distinct columns, got -1 twice"),
+            (5, 7, "column 5 out of range"),
+            (-1, 9, "column -1 out of range"),
+            (1, 5, "column 5 out of range"),
+            (1, -2, "column -2 out of range"),
+        ],
+    )
+    def test_bad_column_messages(self, src, dst, message):
+        # distinct columns first, then src, then dst
+        with pytest.raises(BadIndexError) as excinfo:
+            verify_column_lemma(random_matrix(ZZ, 7, 5, seeded_rng("lemma-bad")), 2, src, dst)
+        assert str(excinfo.value) == message
 
     def test_base_runs_once_per_matrix(self, monkeypatch):
         # verify_hdv runs one det(), of the Veronese matrix: order C(4, 2) = 6
