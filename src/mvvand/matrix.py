@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 from .errors import BadIndexError, BadRingError, ParseError, ShapeError
-from .rings import Ring, ring_from_doc
+from .rings import Polynomial, Ring, ring_from_doc
 
 
 class ExactMatrix:
@@ -21,7 +21,7 @@ class ExactMatrix:
     __slots__ = ("ring", "nrows", "ncols", "_rows")
 
     def __init__(self, ring: Ring, rows):
-        # raw ring values, pre-coerced by the constructors; in [0, p) over Z/p
+        # raw ring values: in [0, p) over Z/p, of the ring's arity over Z[x]
         self.ring = ring
         self._rows = rows = tuple(tuple(r) for r in rows)
         self.nrows = len(self._rows)
@@ -32,6 +32,11 @@ class ExactMatrix:
         p = ring.modulus
         if p and self.ncols and not 0 <= min(map(min, rows)) <= max(map(max, rows)) < p:
             raise BadRingError(f"{ring.describe()} entries must lie in [0, {p})")
+        # a polynomial knows only its arity: others would take this ring's names
+        if ring.name == "poly" and not all(
+            isinstance(v, Polynomial) and v.nvars == ring.nvars for r in rows for v in r
+        ):
+            raise BadRingError(f"poly ring entries must be polynomials of arity {ring.nvars}")
 
     @classmethod
     def from_rows(cls, ring: Ring, rows) -> "ExactMatrix":
@@ -190,8 +195,9 @@ def _laplace_minor(ring, rows, shift, memo, R, C, key):
     minor it returns, and so each one it memoises, is reduced once: entries
     and sub-minors lie in [0, p), so an order-k sum stays below k*p^2 and
     nothing is lost by reducing it only at the end.  The reduction is
-    :meth:`Ring.reduce` written inline, as in three sites of vandermonde:
-    the method call cost 2-3% of genpos and numeric-zp benchmark wall time.
+    :meth:`Ring.reduce` written inline, as in vandermonde's ``mu_prime``,
+    ``_times`` and ``_linear_form_products``: the method call cost 2-3% of
+    genpos and numeric-zp benchmark wall time.
 
     A module function, not a closure: a recursive closure would tie the memo
     into a reference cycle that outlives its table until the cyclic

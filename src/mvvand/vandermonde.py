@@ -8,12 +8,17 @@ order-n minors ordered lexicographically on omitted rows/columns, the dual
 matrix orders its row products lexicographically on the rows taken, and
 monomials of degree d are listed in descending lexicographic order of their
 exponent vectors.
+
+One prefix-product rule, ``_products``, builds every product of d things:
+Veronese entries and symmetric-power columns (with repetition), dual-matrix
+rows and pairing entries (without).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
-from math import comb, prod
+from math import comb
 
 from .errors import BadIndexError, ExponentOverflowError, ShapeError
 from .matrix import ExactMatrix, _minor_table, random_matrix, seeded_rng
@@ -21,31 +26,71 @@ from .rings import _EXP_LIMIT, Polynomial, PolynomialRing, RingElement, ZZ, _sho
 
 
 # ---------------------------------------------------------------------------
-# monomial basis
-
-
-def _exponents(nvars: int, d: int) -> tuple:
-    """Exponent vectors of total degree d in nvars variables, largest first:
-    the multisets of d variables come in lex order, so the vectors counting
-    them come out in descending lex order."""
-    out = []
-    for multiset in combinations_with_replacement(range(nvars), d):
-        exps = [0] * nvars
-        for k in multiset:
-            exps[k] += 1
-        out.append(tuple(exps))
-    return tuple(out)
+# monomial basis and products
 
 
 def monomial_basis(n: int, d: int) -> tuple:
-    """Exponent vectors of total degree d in n+1 variables, largest first."""
+    """Exponent vectors of total degree d in n+1 variables, largest first:
+    the multisets of d variables come in lex order, so the vectors counting
+    them come out in descending lex order."""
     if n < 1:
         raise ShapeError("projective dimension must be at least 1")
     if d < 0:
         raise ShapeError("degree must be nonnegative")
-    exps = _exponents(n + 1, d)
-    assert len(exps) == comb(n + d, n)
-    return exps
+    out = []
+    for multiset in combinations_with_replacement(range(n + 1), d):
+        exps = [0] * (n + 1)
+        for k in multiset:
+            exps[k] += 1
+        out.append(tuple(exps))
+    assert len(out) == comb(n + d, n)
+    return tuple(out)
+
+
+def _products(factors, d, repeat, one, times):
+    """Products of d of ``factors``, in the order ``combinations_with_replacement``
+    (with ``repeat``; :func:`monomial_basis` order) or ``combinations`` lists
+    the indices; ``[one]`` at d = 0, so callers refuse a negative d first.
+    Each product is one ``times`` of its longest proper prefix's product and
+    one more factor, so products share their prefixes' work."""
+    m, step = len(factors), 0 if repeat else 1
+    level = [(0, one)]  # (least index the next factor may take, product)
+    for t in range(d):
+        # without repeat, leave room for the d - 1 - t factors still to come
+        stop = m - step * (d - 1 - t)
+        level = [(k + step, times(acc, factors[k])) for i, acc in level for k in range(i, stop)]
+    return [acc for _, acc in level]
+
+
+def _times(ring):
+    """Product of two raw values of ``ring``, reduced inline over Z/p."""
+    p = ring.modulus
+    return (lambda a, b: a * b % p) if p else operator.mul
+
+
+def _linear_form_products(ring, forms, d, repeat, nvars):
+    """Coefficient rows, on the degree-d monomial basis in nvars variables, of
+    the products of d of the linear forms sum_k c_k Y_k, as :func:`_products`
+    lists them.  A monomial's key packs its exponents in base d + 1, the first
+    variable most significant, so a product's key is the sum of its factors'
+    keys.  A product is a dict from key to raw coefficient; each form's zero
+    coefficients are dropped once, and over Z/p each coefficient is reduced
+    once per form (at most nvars products below p^2 are summed)."""
+    p = ring.modulus
+    weights = [(d + 1) ** (nvars - 1 - k) for k in range(nvars)]
+
+    def times(acc, nonzero):
+        new = {}
+        for key, a in acc.items():
+            for w, c in nonzero:
+                k = key + w
+                new[k] = new[k] + a * c if k in new else a * c
+        return {k: v % p for k, v in new.items()} if p else new
+
+    keys = _products(weights, d, True, 0, int.__add__)
+    sparse = [[(w, c) for w, c in zip(weights, f) if c] for f in forms]
+    products = _products(sparse, d, repeat, {0: ring.one}, times)
+    return [[acc.get(k, ring.zero) for k in keys] for acc in products]
 
 
 # ---------------------------------------------------------------------------
@@ -60,30 +105,14 @@ def _shape_nd(X: ExactMatrix) -> tuple:
     return n, d
 
 
-def _monomial_value(ring, row, exps):
-    """Value of one monomial at a row, on raw values; over Z/p the product
-    (below p^d) is reduced once, by :meth:`Ring.reduce` written inline as
-    in ``_laplace_minor``."""
-    acc = ring.one
-    for x, e in zip(row, exps):
-        if e:
-            acc = acc * x ** e
-    p = ring.modulus
-    return acc % p if p else acc
-
-
 def veronese_matrix(X: ExactMatrix, d: int) -> ExactMatrix:
-    """Apply the degree-d Veronese map to each row of X."""
+    """Apply the degree-d Veronese map to each row of X, in :func:`monomial_basis` order."""
     if X.ncols < 2:
         raise ShapeError("Veronese image needs at least two columns")
-    n = X.ncols - 1
-    basis = monomial_basis(n, d)
-    ring = X.ring
-    rows = [
-        [_monomial_value(ring, row, exps) for exps in basis]
-        for row in X.rows_raw()
-    ]
-    return ExactMatrix(ring, rows)
+    if d < 0:
+        raise ShapeError("degree must be nonnegative")
+    ring, times = X.ring, _times(X.ring)
+    return ExactMatrix(ring, [_products(row, d, True, ring.one, times) for row in X.rows_raw()])
 
 
 def mu_matrix(X: ExactMatrix) -> ExactMatrix:
@@ -132,56 +161,12 @@ def mu_prime(X: ExactMatrix):
     return acc
 
 
-def _packed_basis(basis):
-    """Weights and keys that pack exponent vectors of total degree d into
-    ints in base d + 1, the first variable most significant: a monomial
-    product's key is the sum of the keys, and ``keys`` are the basis's."""
-    base = sum(basis[0]) + 1
-    nvars = len(basis[0])
-    weights = [base ** (nvars - 1 - k) for k in range(nvars)]
-    keys = [sum(e * w for e, w in zip(exps, weights)) for exps in basis]
-    return weights, keys
-
-
-def _expand_linear_forms(ring, forms, weights, keys):
-    """Coefficients, on the basis whose packed keys are ``keys``, of the
-    product of the linear forms sum_k c_k Y_k, where Y_k has key
-    ``weights[k]`` (see :func:`_packed_basis`).
-
-    The expansion multiplies in one form at a time on raw values with
-    Python's operators; over Z/p every coefficient is reduced once per form
-    (a coefficient below p times one below p, summed over at most
-    len(weights) terms), by :meth:`Ring.reduce` written inline as in
-    ``_laplace_minor``.  Each form's zero coefficients are skipped once."""
-    p = ring.modulus
-    acc = {0: ring.one}
-    for f in forms:
-        nonzero = [(w, c) for w, c in zip(weights, f) if c]
-        new = {}
-        for key, a in acc.items():
-            for w, c in nonzero:
-                k = key + w
-                if k in new:
-                    new[k] = new[k] + a * c
-                else:
-                    new[k] = a * c
-        acc = {k: v % p for k, v in new.items()} if p else new
-    zero = ring.zero
-    return [acc.get(k, zero) for k in keys]
-
-
 def eta_matrix(X: ExactMatrix) -> ExactMatrix:
     """Dual matrix: each row is the coefficient vector of the product of d
     rows of X read as linear forms; row choices ordered lex on rows taken."""
     n, d = _shape_nd(X)
     ring = X.ring
-    weights, keys = _packed_basis(monomial_basis(n, d))
-    raw = X.rows_raw()
-    rows = [
-        _expand_linear_forms(ring, [raw[i] for i in taken], weights, keys)
-        for taken in combinations(range(n + d), d)
-    ]
-    return ExactMatrix(ring, rows)
+    return ExactMatrix(ring, _linear_form_products(ring, X.rows_raw(), d, False, n + 1))
 
 
 def sym_power_matrix(u: ExactMatrix, d: int) -> ExactMatrix:
@@ -204,16 +189,9 @@ def sym_power_matrix(u: ExactMatrix, d: int) -> ExactMatrix:
                 f"symmetric power d={_show(d)} of entries of degree {top} "
                 f"would exceed total degree {_EXP_LIMIT - 1}"
             )
-    basis = _exponents(m, d)
-    weights, keys = _packed_basis(basis)
-    # column k of u is the image of the k-th variable, as a linear form
-    cols = list(zip(*u.rows_raw()))
-    columns = [
-        _expand_linear_forms(
-            ring, [cols[k] for k, e in enumerate(exps) for _ in range(e)], weights, keys
-        )
-        for exps in basis
-    ]
+    # column k of u is the image of the k-th variable, as a linear form, so
+    # the image of a basis monomial is the product of the columns it counts
+    columns = _linear_form_products(ring, list(zip(*u.rows_raw())), d, True, m)
     return ExactMatrix(ring, list(zip(*columns)))
 
 
@@ -223,17 +201,13 @@ def pairing_matrix(X: ExactMatrix) -> ExactMatrix:
     and whose remaining rows are the rows outside s, in increasing order.
     Off-diagonal entries vanish identically."""
     n, d = _shape_nd(X)
-    ring = X.ring
-    raw = X.rows_raw()
-    subsets = list(combinations(range(n + d), d))
+    ring, times, raw = X.ring, _times(X.ring), X.rows_raw()
     rows = []
-    for s in subsets:
+    for s in combinations(range(n + d), d):
         outside = [raw[i] for i in range(n + d) if i not in s]
         # one determinant per row j; each entry of this row multiplies d of them
         block = [ExactMatrix(ring, [raw[j]] + outside).det() for j in range(n + d)]
-        rows.append(
-            [ring.reduce(prod((block[j] for j in t), start=ring.one)) for t in subsets]
-        )
+        rows.append(_products(block, d, False, ring.one, times))
     return ExactMatrix(ring, rows)
 
 

@@ -1,6 +1,6 @@
 """Reference computations that tests compare the package against, and small
 builders for the tests; the package itself has no use for them."""
-from itertools import combinations
+from itertools import combinations, product
 
 from mvvand import vandermonde
 from mvvand.errors import RingMismatchError
@@ -146,6 +146,14 @@ def minor_product_lex(X: ExactMatrix):
     for taken in combinations(range(X.nrows), X.ncols):
         acc = ring.reduce(acc * X.minor(taken, cols))
     return acc
+
+
+def exponent_vectors(nvars: int, d: int) -> tuple:
+    """Exponent vectors of total degree d in nvars variables, largest first,
+    by brute force: every vector with entries up to d, kept when its entries
+    sum to d, sorted in descending lex order."""
+    vectors = (e for e in product(range(d + 1), repeat=nvars) if sum(e) == d)
+    return tuple(sorted(vectors, reverse=True))
 
 
 def expand_linear_forms(ring, forms, nvars):

@@ -1,9 +1,11 @@
 import json
+import sys
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from mvvand.cli import cli
+from mvvand.cli import cli, main
 from mvvand.errors import BadRingError, ShapeError
 from mvvand.matrix import ExactMatrix, dumps_doc
 from mvvand.rings import ZZ
@@ -650,3 +652,108 @@ class TestErrors:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:shape-error:")
+
+
+@pytest.fixture
+def call_main(monkeypatch, capsys):
+    """Run ``main()`` in this process on the given arguments and return
+    (exit code, stdout, stderr); the interpreter's limit on integer text,
+    which main() lifts for the whole process, is put back afterwards."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+    def call(args):
+        monkeypatch.setattr(sys, "argv", ["mvvand", *args])
+        code = 0
+        try:
+            main()
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    yield call
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+class TestMain:
+    """Each exit of ``cli.main``, run in process."""
+
+    def test_success_exits_zero(self, call_main):
+        code, out, err = call_main(["basis", "--n", "1", "--d", "2"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["exponents"] == [[2, 0], [1, 1], [0, 2]]
+
+    def test_os_error_is_io_error(self, call_main, tmp_path):
+        code, out, err = call_main(["basis", "--n", "1", "--d", "1", "--output", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:io-error:") and err.count("\n") == 1
+
+    def test_usage_error_keeps_click_exit_code(self, call_main):
+        code, out, err = call_main(["verify", "nope"])
+        assert code == click.UsageError.exit_code == 2
+        assert out == "" and "Usage:" in err and not err.startswith("error:")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer text"
+    )
+    def test_lifts_the_digit_limit(self, call_main, tmp_path):
+        sys.set_int_max_str_digits(4300)
+        path = _write(tmp_path, "big.json", {"ring": "int", "rows": [["9" * 2200, "1"]]})
+        code, out, err = call_main(["veronese", "--input", path, "--d", "2"])
+        assert (code, err) == (0, "")
+        # (10^2200 - 1)^2 has 4,400 digits
+        assert "9" * 2199 + "8" + "0" * 2199 + "1" in json.loads(out)["rows"][0]
+        assert sys.get_int_max_str_digits() == 0
+
+    @pytest.mark.parametrize(
+        "args,doc,code",
+        [
+            # a negative degree would read as the empty product of degree 0
+            pytest.param(["veronese", "--d", "-1"], WORKED_DOC, "shape-error", id="veronese-d"),
+            pytest.param(["sym", "--d", "-1"], SQUARE_DOC, "shape-error", id="sym-d"),
+            pytest.param(["basis", "--n", "1", "--d", "-1"], None, "shape-error", id="basis-d"),
+            pytest.param(
+                ["mu"], {"ring": "int", "rows": [["1", "2", "3"]]}, "shape-error", id="mu-1x3"
+            ),
+            pytest.param(["verify", "hdv", "--d", "2"], None, "shape-error", id="hdv-no-n"),
+            pytest.param(["verify", "hdv", "--n", "0", "--d", "2"], None, "shape-error", id="hdv-n0"),
+            pytest.param(
+                ["verify", "naive", "--n", "0", "--d", "2"], None, "shape-error", id="naive-n0"
+            ),
+            pytest.param(
+                ["mu"], {"ring": "int", "rows": [["1", "2"], ["3"]]}, "shape-error", id="ragged"
+            ),
+            pytest.param(["mu"], '"rows"', "parse-error", id="not-an-object"),
+            pytest.param(
+                ["mu"], {"ring": "int", "rows": "abc"}, "shape-error", id="rows-not-lists"
+            ),
+            pytest.param(
+                ["mu"], {"ring": "poly", "variables": [], "rows": [["1"]]}, "parse-error",
+                id="poly-no-variables",
+            ),
+            pytest.param(
+                ["mu"], {"ring": "poly", "variables": ["x", "x"], "rows": [["1"]]}, "bad-ring",
+                id="poly-duplicate-variable",
+            ),
+            pytest.param(
+                ["mu"], {"ring": "mod_p", "modulus": 7.0, "rows": [["1"]]}, "parse-error",
+                id="float-modulus",
+            ),
+            pytest.param(
+                ["genpos"], {"ring": "int", "rows": [["1"]]}, "zero-point", id="genpos-1x1"
+            ),
+        ],
+    )
+    def test_error_guard(self, call_main, tmp_path, args, doc, code):
+        if doc is not None:
+            args = [*args, "--input", _write(tmp_path, "in.json", doc)]
+        status, out, err = call_main(args)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error:{code}:") and err.count("\n") == 1, err

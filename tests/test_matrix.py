@@ -327,6 +327,16 @@ class TestFieldDeterminant:
         assert ExactMatrix(ZZ, [[2, -1]]).ncols == 2
         assert ExactMatrix(PrimeField(2), [[]]).nrows == 1
 
+    def test_raw_constructor_rejects_foreign_arity(self):
+        # y of Z[x, y] was written as "x" under Z[x], and an int entry ended
+        # in AttributeError when the matrix was written
+        x_ring = PolynomialRing(["x"])
+        for entry in (Polynomial.variable(2, 1), 1, x_ring.one.terms):
+            with pytest.raises(BadRingError):
+                ExactMatrix(x_ring, [[x_ring.one], [entry]])
+        assert ExactMatrix(x_ring, [[Polynomial.variable(1, 0)]]).to_doc()["rows"] == [["x"]]
+        assert ExactMatrix(x_ring, [[]]).nrows == 1
+
 
 @st.composite
 def any_ring_matrix(draw):

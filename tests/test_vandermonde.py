@@ -9,7 +9,6 @@ from mvvand.matrix import ExactMatrix, _det_berkowitz, _det_cofactor, random_mat
 from mvvand.rings import Polynomial, PolynomialRing, PrimeField, ZZ
 from mvvand.selftest import dual_identity
 from mvvand.vandermonde import (
-    _exponents,
     _pairing_sign,
     _report,
     demo_naive_failure,
@@ -32,6 +31,7 @@ from oracles import (
     det_by,
     elementary,
     eta_matrix_by_tuples,
+    exponent_vectors,
     identity,
     lemma_matrices,
     matmul,
@@ -41,6 +41,7 @@ from oracles import (
 )
 
 WORKED = ExactMatrix.from_rows(ZZ, [[1, 0], [0, 1], [1, 1]])
+XY = PolynomialRing(["x", "y"])
 
 
 class TestMonomialBasis:
@@ -52,12 +53,8 @@ class TestMonomialBasis:
 
     @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 5) for d in range(5)])
     def test_matches_sort_oracle(self, n, d):
-        # independent oracle: enumerate all exponent vectors, sort descending
-        brute = sorted(
-            (e for e in product(range(d + 1), repeat=n + 1) if sum(e) == d),
-            reverse=True,
-        )
-        assert list(monomial_basis(n, d)) == brute
+        brute = exponent_vectors(n + 1, d)
+        assert monomial_basis(n, d) == brute
         # S^d of diag(primes) is diagonal with entry prod p_k^e_k at basis
         # monomial e, which names e uniquely
         primes = (2, 3, 5, 7, 11)[: n + 1]
@@ -96,6 +93,26 @@ class TestVeronese:
     def test_rejects_single_column(self):
         with pytest.raises(ShapeError):
             veronese_matrix(ExactMatrix.from_rows(ZZ, [[1], [2]]), 2)
+
+    def test_rejects_negative_degree(self):
+        # the product rule would read d = -1 as the empty product of degree 0
+        with pytest.raises(ShapeError):
+            veronese_matrix(WORKED, -1)
+
+    @pytest.mark.parametrize(
+        "ring", [ZZ, PrimeField(2), PrimeField(1_000_003), PrimeField(2**61 - 1), XY], ids=str
+    )
+    @pytest.mark.parametrize("d", range(5))
+    def test_entries_are_basis_monomials(self, ring, d):
+        # each entry against prod(x**e) over its exponent vector, reduced once
+        X = random_matrix(ring, 4, 3, seeded_rng("veronese-brute", d))
+        basis = monomial_basis(2, d)
+        assert basis == exponent_vectors(3, d)
+        expect = [
+            [ring.reduce(prod((x**e for x, e in zip(row, exps)), start=ring.one)) for exps in basis]
+            for row in X.rows_raw()
+        ]
+        assert veronese_matrix(X, d) == ExactMatrix(ring, expect)
 
 
 def _inversions(seq):
@@ -296,8 +313,6 @@ class TestSymPower:
             sym_power_matrix(past, 2)
 
 
-XY = PolynomialRing(["x", "y"])
-
 
 def _linear_forms(ring, rows):
     """A matrix whose entries are ints, or over Z[x, y] coefficient lists of
@@ -325,7 +340,7 @@ class TestLinearFormExpansion:
     @pytest.mark.parametrize("m,d", [(1, 0), (1, 3), (2, 0), (2, 3), (3, 2), (4, 1)])
     def test_sym_power_matches_oracle(self, ring, m, d):
         u = random_matrix(ring, m, m, seeded_rng("symoracle", m, d))
-        assert sym_power_matrix(u, d) == sym_power_by_tuples(u, _exponents(m, d))
+        assert sym_power_matrix(u, d) == sym_power_by_tuples(u, exponent_vectors(m, d))
 
     @pytest.mark.parametrize("ring", RINGS, ids=str)
     def test_zero_row_and_one_variable_forms(self, ring):
@@ -343,7 +358,7 @@ class TestLinearFormExpansion:
         assert all(v == ring.zero for r in zero_rows for v in expect.rows_raw()[r])
         u = _linear_forms(ring, rows[:3])
         for d in range(4):
-            assert sym_power_matrix(u, d) == sym_power_by_tuples(u, _exponents(3, d))
+            assert sym_power_matrix(u, d) == sym_power_by_tuples(u, exponent_vectors(3, d))
 
 
 PAIRING_CASES = [(ring, n, d) for ring in (ZZ, PrimeField(7)) for n, d in ((1, 2), (2, 2), (2, 3))]
@@ -695,7 +710,6 @@ class TestNaiveComparison:
         assert sum(minor_degrees) == 60
 
 
-XY = PolynomialRing(["x", "y"])
 # per ring: a nonzero value, its negative, a third value, and zero
 REPORT_VALUES = {
     "ZZ": (ZZ, 3, -3, 5, 0),
