@@ -552,7 +552,7 @@ def ring_from_doc(doc: dict) -> Ring:
         return PrimeField(modulus)
     if kind == "poly":
         variables = doc.get("variables")
-        if not variables or not isinstance(variables, list):
+        if not isinstance(variables, list):
             raise ParseError("poly ring requires a variable list")
         return PolynomialRing(variables)
     raise ParseError(f"unknown ring kind: {_show(kind)}")

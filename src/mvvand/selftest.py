@@ -126,24 +126,20 @@ def numeric_identity(quick: bool = False):
 
 @_criterion("dual-identity")
 def dual_identity(quick: bool = False):
-    """det of the dual matrix equals the minor product up to a sign that is
-    constant per (n, d) and +1 in the worked 3x2 example and DUAL_SIGN_PAIRS."""
+    """det of the dual matrix equals the minor product with the sign +1 that
+    verify_dual pins, on seeded trials, the worked 3x2 example and
+    symbolically at DUAL_SIGN_PAIRS."""
     trials = 5 if quick else 100
     ok = True
     for n, d in NUMERIC_GRID:
-        signs = set()
         for t in range(trials):
             X = random_matrix(ZZ, n + d, n + 1, seeded_rng("dual", n, d, t))
-            report = verify_dual(X)
-            ok &= report.ok
-            if report.sign is not None:
-                signs.add(report.sign)
-        ok &= len(signs) <= 1
-    worked = verify_dual(ExactMatrix.from_rows(ZZ, [[1, 0], [0, 1], [1, 1]]))
-    ok &= worked.sign == 1
+            ok &= verify_dual(X).ok
+    ok &= verify_dual(ExactMatrix.from_rows(ZZ, [[1, 0], [0, 1], [1, 1]])).ok
     for n, d in DUAL_SIGN_PAIRS:
-        ok &= verify_dual(symbolic_matrix(n + d, n + 1)).sign == 1
-    return ok, f"sign constant per (n,d); +1 at (1,2) and {len(DUAL_SIGN_PAIRS)} symbolic pairs"
+        ok &= verify_dual(symbolic_matrix(n + d, n + 1)).ok
+    grid = f"{len(NUMERIC_GRID)} grid points x {trials} trials"
+    return ok, f"sign +1 on {grid}, at (1,2) and at {len(DUAL_SIGN_PAIRS)} symbolic pairs"
 
 
 @_criterion("column-lemma")

@@ -229,7 +229,6 @@ class VerificationReport:
     verdict: str  # "equal" | "equal-up-to-sign" | "unequal"
     expected: str
     sign: int | None = None
-    seed: int | None = None
     detail: dict = field(default_factory=dict)
 
     @property
@@ -249,8 +248,6 @@ class VerificationReport:
         }
         if self.sign is not None:
             doc["sign"] = self.sign
-        if self.seed is not None:
-            doc["seed"] = self.seed
         doc.update(self.detail)
         return doc
 
@@ -259,25 +256,19 @@ def _report(
     identity, n, d, ring, lhs, rhs, expected, holds=True, predicted_sign=None, **extra
 ) -> VerificationReport:
     """The one comparison rule, on raw sides of ``ring``, which the report
-    pairs with it.  The sides are compared only when the side condition
-    ``holds``; otherwise the verdict is "unequal".  When the identity predicts
-    "equal-up-to-sign" they are compared up to sign, and the sign is reported
-    when visible (lhs != -lhs: not for 0, nor over Z/2); otherwise exactly.
-    A ``predicted_sign`` pins the sign: unless lhs equals it times rhs the
-    verdict is "unequal", so a sign fault cannot pass as the other sign."""
+    pairs with it: unless the side condition ``holds`` and lhs equals sign
+    times rhs, the verdict is "unequal".  An identity stated up to sign passes
+    the ``predicted_sign`` its derivation gives, so a sign fault cannot pass
+    as the other sign; it is reported when visible (lhs != -lhs: not for 0,
+    nor over Z/2).  Unpinned, the sign is +1 and the verdict "equal", so an
+    expected "equal-up-to-sign" is never met without a sign."""
     reduce = ring.reduce
-    up_to_sign = expected == "equal-up-to-sign"
-    # -rhs by the one negation rule, only where it can decide the verdict
-    opposite = holds and (up_to_sign and lhs != rhs or predicted_sign == -1) and lhs == reduce(-rhs)
-    if predicted_sign is not None:
-        holds = holds and (opposite if predicted_sign == -1 else lhs == rhs)
-    if holds and lhs == rhs:
-        verdict = "equal-up-to-sign" if up_to_sign else "equal"
-        sign = 1 if up_to_sign and lhs != reduce(-lhs) else None
-    elif holds and up_to_sign and opposite:
-        verdict, sign = "equal-up-to-sign", -1
+    # -rhs by the one negation rule, only where a sign of -1 is pinned
+    if holds and lhs == (reduce(-rhs) if predicted_sign == -1 else rhs):
+        verdict = "equal" if predicted_sign is None else "equal-up-to-sign"
     else:
-        verdict, sign = "unequal", None
+        verdict = "unequal"
+    sign = predicted_sign if verdict == "equal-up-to-sign" and lhs != reduce(-lhs) else None
     return VerificationReport(
         identity, n, d, ring.describe(), RingElement(ring, lhs), RingElement(ring, rhs),
         verdict, expected, sign, **extra
@@ -292,9 +283,23 @@ def verify_hdv(X: ExactMatrix) -> VerificationReport:
 
 
 def verify_dual(X: ExactMatrix) -> VerificationReport:
-    """Check det(eta^d X) = +/- mu' X; the sign is reported when visible."""
+    """Check det(eta^d X) = mu' X, with the sign +1 pinned at every (n, d).
+
+    The sign c(n, d) = det(eta X) / mu'(X) is constant, so read it at X with
+    last row e_n; let X' be the other rows and X'' be X' without its last
+    column.  A row of eta X whose choice takes the last row is Y_n times a
+    product of rows of X', so it vanishes off the Y_n-divisible monomials:
+    with those rows and columns last, eta X is block upper triangular over
+    eta X'' (shape (n-1, d)) and eta X' (shape (n, d-1)).  Expanding along
+    e_n (cofactor +1), mu'(X) = mu'(X') mu'(X'').  The map {i_1 < ... < i_d}
+    -> {i_k - (k-1)} takes lex d-subsets of range(n+d) onto
+    :func:`monomial_basis` order and "takes n+d-1" onto "divisible by Y_n",
+    so the row and column reorderings are one permutation and their signs
+    cancel.  Hence c(n, d) = c(n-1, d) c(n, d-1), down to c(0, d) = 1 (eta
+    of a d x 1 matrix is the product of its entries) and c(n, 0) = 1."""
     n, d = _shape_nd(X)
-    return _report("dual", n, d, X.ring, eta_matrix(X).det(), mu_prime(X), "equal-up-to-sign")
+    lhs = eta_matrix(X).det()
+    return _report("dual", n, d, X.ring, lhs, mu_prime(X), "equal-up-to-sign", predicted_sign=1)
 
 
 # (X, verify_hdv(X)) of the last matrix the column lemma checked
@@ -403,7 +408,7 @@ def demo_naive_failure(n: int, d: int, seed: int = 0) -> VerificationReport:
     X = random_matrix(ZZ, comb(n + d, n), n + 1, rng)
     lhs = veronese_matrix(X, d).det()
     expected = "unequal" if n >= 2 and d >= 2 else "equal"
-    return _report("naive", n, d, ZZ, lhs, mu_prime(X), expected, seed=seed)
+    return _report("naive", n, d, ZZ, lhs, mu_prime(X), expected, detail={"seed": seed})
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,18 @@ class TestVerify:
         assert doc["verdict"] == doc["expected"] == "equal"
         assert result.exit_code == 0
 
+    def test_naive_document_is_unchanged(self, runner):
+        # the seed travels in the report's detail; the document keeps its
+        # keys sorted, so it reads as when the seed was a field of its own
+        result = runner.invoke(cli, ["verify", "naive", "--n", "2", "--d", "2", "--seed", "5"])
+        assert result.exit_code == 0
+        assert result.output == (
+            '{\n  "d": 2,\n  "expected": "unequal",\n  "identity": "naive",\n'
+            '  "lhs": "20182365560",\n  "n": 2,\n'
+            '  "rhs": "5545154276095105711515244292026427821562265600000",\n'
+            '  "ring": "int",\n  "seed": 5,\n  "verdict": "unequal"\n}\n'
+        )
+
     def test_dual_reports_sign(self, runner, worked_file):
         result = runner.invoke(cli, ["verify", "dual", "--input", worked_file])
         doc = json.loads(result.output)
@@ -734,9 +746,19 @@ class TestMain:
             pytest.param(
                 ["mu"], {"ring": "int", "rows": "abc"}, "shape-error", id="rows-not-lists"
             ),
+            # an empty list reaches PolynomialRing's own check; it used to be
+            # refused as no list at all
             pytest.param(
-                ["mu"], {"ring": "poly", "variables": [], "rows": [["1"]]}, "parse-error",
+                ["mu"], {"ring": "poly", "variables": [], "rows": [["1"]]}, "bad-ring",
                 id="poly-no-variables",
+            ),
+            pytest.param(
+                ["mu"], {"ring": "poly", "variables": "xy", "rows": [["1"]]}, "parse-error",
+                id="poly-variables-not-list",
+            ),
+            pytest.param(
+                ["mu"], {"ring": "poly", "rows": [["1"]]}, "parse-error",
+                id="poly-variables-missing",
             ),
             pytest.param(
                 ["mu"], {"ring": "poly", "variables": ["x", "x"], "rows": [["1"]]}, "bad-ring",

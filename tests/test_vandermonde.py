@@ -1,3 +1,4 @@
+import inspect
 from itertools import combinations, permutations, product
 from math import comb, prod
 
@@ -479,7 +480,75 @@ class TestVerifyHdv:
         assert (doc["n"], doc["d"], doc["ring"]) == (1, 2, "int")
 
 
+def _swap_first_rows(eta):
+    """eta_matrix as defined, except with its first two rows swapped, which
+    flips the sign of its determinant at every (n, d)."""
+
+    def build(X):
+        rows = list(eta(X).rows_raw())
+        rows[0], rows[1] = rows[1], rows[0]
+        return ExactMatrix(X.ring, rows)
+
+    return build
+
+
 class TestVerifyDual:
+    @pytest.mark.parametrize(
+        "X",
+        [
+            pytest.param(WORKED, id="worked"),
+            pytest.param(random_matrix(ZZ, 5, 3, seeded_rng("dualswap", "int")), id="ZZ"),
+            pytest.param(
+                random_matrix(PrimeField(1_000_003), 5, 3, seeded_rng("dualswap", "modp")),
+                id="F1000003",
+            ),
+            pytest.param(symbolic_matrix(3, 2), id="formal-1-2"),
+        ],
+    )
+    def test_row_swap_in_eta_is_unequal(self, X, monkeypatch):
+        # with the sign searched for, this fault passed as sign -1
+        monkeypatch.setattr(vandermonde, "eta_matrix", _swap_first_rows(vandermonde.eta_matrix))
+        report = verify_dual(X)
+        assert report.lhs.value == X.ring.reduce(-report.rhs.value) and report.lhs.value
+        assert report.verdict == "unequal" and report.sign is None
+        assert not report.ok
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 6) for d in range(6)])
+    def test_stars_and_bars_orders_rows_as_columns(self, n, d):
+        # {i_1 < ... < i_d} -> {i_k - (k-1)} takes lex d-subsets of range(n+d)
+        # onto monomial_basis order, and "takes row n+d-1" onto "divisible by
+        # Y_n": the dual sign's derivation reorders rows and columns alike
+        subsets = list(combinations(range(n + d), d))
+        images = []
+        for s in subsets:
+            exps = [0] * (n + 1)
+            for k, i in enumerate(s):
+                exps[i - k] += 1
+            images.append(tuple(exps))
+        assert tuple(images) == monomial_basis(n, d)
+        assert [n + d - 1 in s for s in subsets] == [e[n] > 0 for e in images]
+
+    @pytest.mark.parametrize("ring", [ZZ, PrimeField(1_000_003)], ids=["ZZ", "F1000003"])
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(2, 5) for d in range(1, 4)])
+    def test_block_factorisation_with_last_row_e_n(self, ring, n, d):
+        # with last row e_n, eta X reordered is [[eta X'', *], [0, eta X']]
+        # and mu'(X) = mu'(X') mu'(X''), so c(n, d) = c(n-1, d) c(n, d-1)
+        top = random_matrix(ring, n + d - 1, n + 1, seeded_rng("dualblock", n, d))
+        low = ExactMatrix(ring, [r[:n] for r in top.rows_raw()])
+        X = ExactMatrix(ring, list(top.rows_raw()) + [(0,) * n + (1,)])
+        subsets = list(combinations(range(n + d), d))
+        basis = monomial_basis(n, d)
+        order = sorted(range(len(subsets)), key=lambda i: n + d - 1 in subsets[i])
+        assert order == sorted(range(len(basis)), key=lambda j: basis[j][n] > 0)
+        k = comb(n + d - 1, d)
+        eta = eta_matrix(X).rows_raw()
+        P = [[eta[i][j] for j in order] for i in order]
+        assert not any(v for row in P[k:] for v in row[:k])
+        assert [tuple(r[:k]) for r in P[:k]] == list(eta_matrix(low).rows_raw())
+        assert [tuple(r[k:]) for r in P[k:]] == list(eta_matrix(top).rows_raw())
+        assert mu_prime(X) == ring.reduce(mu_prime(top) * mu_prime(low))
+        assert eta_matrix(X).det() == ring.reduce(eta_matrix(top).det() * eta_matrix(low).det())
+
     def test_worked_sign(self):
         report = verify_dual(WORKED)
         assert report.verdict == "equal-up-to-sign"
@@ -726,15 +795,18 @@ class TestComparisonRule:
         "lhs,rhs,expected,options,verdict,sign",
         [
             pytest.param("v", "v", "equal", {}, "equal", None, id="equal"),
-            pytest.param("v", "v", UP_TO_SIGN, {}, UP_TO_SIGN, 1, id="same"),
-            pytest.param("neg", "v", UP_TO_SIGN, {}, UP_TO_SIGN, -1, id="opposite"),
+            # an expected "equal-up-to-sign" with no sign pinned is never met:
+            # the sides are compared exactly, with no search for the sign
+            pytest.param("v", "v", UP_TO_SIGN, {}, "equal", None, id="same"),
+            pytest.param("neg", "v", UP_TO_SIGN, {}, "unequal", None, id="opposite"),
             pytest.param("neg", "v", "equal", {}, "unequal", None, id="opposite-not-equal"),
-            pytest.param("w", "v", UP_TO_SIGN, {}, "unequal", None, id="other"),
+            pytest.param("w", "v", UP_TO_SIGN, PLUS, "unequal", None, id="other"),
             pytest.param("v", "v", UP_TO_SIGN, PLUS, UP_TO_SIGN, 1, id="plus-matched"),
             pytest.param("neg", "v", UP_TO_SIGN, PLUS, "unequal", None, id="plus-mismatched"),
             pytest.param("neg", "v", UP_TO_SIGN, MINUS, UP_TO_SIGN, -1, id="minus-matched"),
             pytest.param("v", "v", UP_TO_SIGN, MINUS, "unequal", None, id="minus-mismatched"),
-            pytest.param("zero", "zero", UP_TO_SIGN, {}, UP_TO_SIGN, None, id="zero"),
+            pytest.param("zero", "zero", UP_TO_SIGN, {}, "equal", None, id="zero"),
+            pytest.param("zero", "zero", UP_TO_SIGN, PLUS, UP_TO_SIGN, None, id="zero-plus"),
             pytest.param("zero", "zero", UP_TO_SIGN, MINUS, UP_TO_SIGN, None, id="zero-minus"),
             pytest.param("v", "v", "equal", FAILS, "unequal", None, id="fails-equal"),
             pytest.param("neg", "v", UP_TO_SIGN, FAILS, "unequal", None, id="fails-opposite"),
@@ -748,7 +820,30 @@ class TestComparisonRule:
             **options,
         )
         assert (report.verdict, report.sign) == (verdict, sign)
+        assert report.ok == (verdict == expected)
         assert report.ring == ring.describe()
+
+    def test_every_up_to_sign_identity_pins_its_sign(self, monkeypatch):
+        # verify_dual used to pass no sign, so _report searched for one
+        calls = []
+        report_true = vandermonde._report
+        signature = inspect.signature(report_true)
+
+        def recording(*args, **kwargs):
+            call = signature.bind(*args, **kwargs).arguments
+            calls.append((call["identity"], call["expected"], call.get("predicted_sign")))
+            return report_true(*args, **kwargs)
+
+        monkeypatch.setattr(vandermonde, "_report", recording)
+        monkeypatch.setattr(vandermonde, "_lemma_base", None)
+        for verify in (verify_hdv, verify_dual, verify_pairing):
+            verify(WORKED)
+        verify_column_lemma(WORKED, 2, 0, 1)
+        verify_sym_power(ExactMatrix.from_rows(ZZ, [[2, 1], [1, 3]]), 2)
+        demo_naive_failure(2, 2)
+        assert {c[0] for c in calls} == {"hdv", "dual", "lemma", "abstract", "sym", "naive"}
+        assert all(sign in (1, -1) for _, expected, sign in calls if expected == UP_TO_SIGN)
+        assert ("dual", UP_TO_SIGN, 1) in calls and ("abstract", UP_TO_SIGN, -1) in calls
 
     @pytest.mark.parametrize(
         "verify",
@@ -792,11 +887,16 @@ class TestComparisonRule:
 
     # over Z/2 every value equals its negative, so no sign is visible: the
     # worked rows reported "sign": 1 there, though _pairing_sign(1, 2) = -1
-    # and the same rows over Z give -1
-    @pytest.mark.parametrize("options", [{}, PLUS, MINUS], ids=["free", "plus", "minus"])
-    def test_no_sign_over_z2(self, options):
+    # and the same rows over Z give -1.  With no sign pinned the comparison
+    # is exact, so the verdict is "equal"
+    @pytest.mark.parametrize(
+        "options,verdict",
+        [({}, "equal"), (PLUS, UP_TO_SIGN), (MINUS, UP_TO_SIGN)],
+        ids=["free", "plus", "minus"],
+    )
+    def test_no_sign_over_z2(self, options, verdict):
         report = _report("t", 1, 1, PrimeField(2), 1, 1, UP_TO_SIGN, **options)
-        assert report.verdict == UP_TO_SIGN and "sign" not in report.to_doc()
+        assert report.verdict == verdict and "sign" not in report.to_doc()
 
     @pytest.mark.parametrize("verify", [verify_dual, verify_pairing], ids=["dual", "abstract"])
     def test_verifiers_report_no_sign_over_z2(self, verify):
@@ -875,9 +975,8 @@ class TestPairingSignMutations:
 
 
 def test_eta_row_swap_fails_dual_identity(monkeypatch):
-    """A row swap in the dual matrix at n = 2 keeps the sign constant per
-    (n, d) and leaves the worked (1, 2) example alone; the symbolic sign
-    proofs still catch it."""
+    """A row swap in the dual matrix at n = 2 flips every sign there; the
+    pinned sign makes each trial at n = 2 fail, and the symbolic proofs too."""
     eta_true = vandermonde.eta_matrix
 
     def swapped(X):
