@@ -59,16 +59,12 @@ class GenPosVerdict:
     ring: str
 
     def to_doc(self) -> dict:
-        doc = {
-            "verdict": self.in_general_position,
-            "method": self.method,
-            "n": self.n,
-            "m": self.m,
-            "ring": self.ring,
-        }
-        if self.witness is not None:
-            doc["witness"] = list(self.witness)
-        return doc
+        """The verdict's document is its fields (the instance's attributes):
+        each one that is not None, under its own name but
+        ``in_general_position``, written as ``verdict``, a tuple as a list."""
+        doc = {k: v for k, v in vars(self).items() if v is not None}
+        doc["verdict"] = doc.pop("in_general_position")
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
 
 def _require_enough(cfg: PointConfiguration) -> None:

@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 from .errors import BadIndexError, BadRingError, ParseError, ShapeError
-from .rings import Polynomial, Ring, ring_from_doc
+from .rings import Polynomial, Ring, _show, ring_from_doc
 
 
 class ExactMatrix:
@@ -114,6 +114,10 @@ class ExactMatrix:
         rows = doc.get("rows")
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ShapeError("matrix document rows are not a list of lists")
+        # str() would turn JSON null, true and false into the text None, True, False
+        bad = [v for r in rows for v in r if isinstance(v, bool) or not isinstance(v, (int, str))]
+        if bad:
+            raise ParseError(f"matrix entry is neither a string nor an integer: {_show(bad[0])}")
         return cls(ring, [[ring.parse(str(v)) for v in r] for r in rows])
 
     @classmethod

@@ -58,7 +58,7 @@ def _encode(nvars: int, exps: Sequence[int]) -> int:
         if e < 0:
             raise ValueError("negative exponent")
         if e >= _EXP_LIMIT:
-            raise ExponentOverflowError(f"exponent {e} exceeds {_EXP_LIMIT - 1}")
+            raise ExponentOverflowError(f"exponent {_show(e)} exceeds {_EXP_LIMIT - 1}")
         key = (key << _EXP_BITS) | e
         total += e
     if total >= _EXP_LIMIT:

@@ -236,20 +236,12 @@ class VerificationReport:
         return self.verdict == self.expected
 
     def to_doc(self) -> dict:
-        doc = {
-            "identity": self.identity,
-            "n": self.n,
-            "d": self.d,
-            "ring": self.ring,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "verdict": self.verdict,
-            "expected": self.expected,
-        }
-        if self.sign is not None:
-            doc["sign"] = self.sign
-        doc.update(self.detail)
-        return doc
+        """The report's document is its fields (the instance's attributes):
+        each one that is not None, under its own name, ``lhs`` and ``rhs`` as
+        their text, and ``detail`` merged on top in place of its own key."""
+        doc = {k: v for k, v in vars(self).items() if v is not None}
+        detail = doc.pop("detail")
+        return {**doc, "lhs": str(self.lhs), "rhs": str(self.rhs), **detail}
 
 
 def _report(

@@ -771,6 +771,38 @@ class TestMain:
             pytest.param(
                 ["genpos"], {"ring": "int", "rows": [["1"]]}, "zero-point", id="genpos-1x1"
             ),
+            # JSON null was read as the text "None", here a variable: "equal"
+            pytest.param(
+                ["verify", "hdv"],
+                {"ring": "poly", "variables": ["None"], "rows": [[None, 1], [1, 0], [0, 1]]},
+                "parse-error",
+                id="null-entry",
+            ),
+            pytest.param(
+                ["mu"], {"ring": "int", "rows": [[True, 1], [1, 0], [0, 1]]}, "parse-error",
+                id="bool-entry",
+            ),
+            pytest.param(
+                ["mu"], {"ring": "poly", "variables": ["x"], "rows": [["x^65536", "1"]]},
+                "exponent-overflow", id="exponent-past-limit",
+            ),
+            pytest.param(
+                ["mu"],
+                {"ring": "poly", "variables": ["x", "y"], "rows": [["x^40000*y^40000", "1"]]},
+                "exponent-overflow",
+                id="total-degree-past-limit",
+            ),
+            pytest.param(
+                ["mu"], {"ring": "poly", "variables": ["1x"], "rows": [["1"]]}, "bad-ring",
+                id="poly-variable-not-a-name",
+            ),
+            pytest.param(
+                ["mu"], {"ring": "poly", "variables": [3], "rows": [["1"]]}, "bad-ring",
+                id="poly-variable-not-text",
+            ),
+            pytest.param(
+                ["sym", "--d", "2"], {"ring": "int", "rows": []}, "shape-error", id="sym-0x0"
+            ),
         ],
     )
     def test_error_guard(self, call_main, tmp_path, args, doc, code):

@@ -1,9 +1,11 @@
+import dataclasses
 from itertools import combinations, permutations
 
 import pytest
 
 from mvvand.errors import BadRingError, NotEnoughPointsError, ZeroPointError
 from mvvand.genpos import (
+    GenPosVerdict,
     PointConfiguration,
     _random_configuration,
     in_general_position,
@@ -62,6 +64,19 @@ class TestVerdicts:
         assert doc["witness"] == [0, 1, 2]
         assert doc["method"] == "minors"
         assert (doc["n"], doc["m"]) == (2, 4)
+
+    def test_verdict_doc_is_its_fields(self):
+        # no witness key when there is none; in_general_position is "verdict"
+        verdict = in_general_position(cfg_of(SIMPLEX_ONES))
+        assert verdict.to_doc() == {
+            "verdict": True, "method": "minors", "n": 2, "m": 4, "ring": "int"
+        }
+
+        @dataclasses.dataclass(frozen=True)
+        class Noted(GenPosVerdict):
+            note: str = "seen"
+
+        assert Noted(**vars(verdict)).to_doc() == {**verdict.to_doc(), "note": "seen"}
 
     def test_matches_brute_force(self):
         for t in range(100):

@@ -1,12 +1,19 @@
 import gc
 import json
+import re
 from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mvvand.errors import BadIndexError, BadRingError, InexactDivisionError, ShapeError
+from mvvand.errors import (
+    BadIndexError,
+    BadRingError,
+    InexactDivisionError,
+    ParseError,
+    ShapeError,
+)
 from mvvand import matrix
 from mvvand.matrix import (
     ExactMatrix,
@@ -459,6 +466,17 @@ class TestFileFormat:
     def test_doc_fields(self):
         doc = ExactMatrix.from_rows(PrimeField(17), [[5]]).to_doc()
         assert doc == {"ring": "mod_p", "modulus": "17", "rows": [["5"]]}
+
+    @pytest.mark.parametrize(
+        "entry,shown",
+        [(None, "None"), (True, "True"), (False, "False"), (1.0, "1.0"), ([1], "[1]"), ({}, "{}")],
+    )
+    def test_entry_neither_text_nor_integer_refused(self, entry, shown):
+        # str() once read null as the text "None", a variable of this ring
+        doc = {"ring": "poly", "variables": ["None", "True", "False"], "rows": [[entry, 1]]}
+        message = f"neither a string nor an integer: {re.escape(shown)}$"
+        with pytest.raises(ParseError, match=message):
+            ExactMatrix.from_doc(doc)
 
     def test_dumps_doc_deterministic(self):
         doc = {"b": 1, "a": [2, 3]}

@@ -94,10 +94,36 @@ class TestBasics:
         assert str(elem(F7, -1)) == "6"
         assert RingElement(ZZ, -9).value == -9
 
+    def test_exponent_past_limit_named_by_size(self):
+        # one field past the limit is named before the total; a 4,000-digit
+        # exponent once filled the message digit by digit
+        with pytest.raises(ExponentOverflowError, match="^exponent 65536 exceeds 65535$"):
+            P("x^65536")
+        with pytest.raises(ExponentOverflowError, match="^exponent 13288-bit number exceeds"):
+            P("x^" + "9" * 4000)
+        with pytest.raises(ExponentOverflowError, match="^total degree 80000 exceeds 65535$"):
+            P("x^40000*y^40000")
+
     def test_neg_and_pow(self):
         assert F7.reduce(-3) == 4
         assert P("x + 1") ** 2 == P("x^2 + 2*x + 1")
         assert XY.pow(P("x"), 0) == XY.one
+        # the loop would run no product and return x itself
+        with pytest.raises(ValueError, match="negative power"):
+            P("x") ** -1
+
+    @pytest.mark.parametrize(
+        "exps,message", [((1,), "wrong arity"), ((1, 0, 0), "wrong arity"), ((1, -1), "negative")]
+    )
+    def test_from_terms_refuses_a_bad_exponent_vector(self, exps, message):
+        with pytest.raises(ValueError, match=message):
+            Polynomial.from_terms(2, [(exps, 1)])
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_variable_index_out_of_range(self, index):
+        # -1 would otherwise name the last variable
+        with pytest.raises(ValueError, match="out of range"):
+            Polynomial.variable(2, index)
 
 
 class TestRingEquality:
@@ -165,6 +191,11 @@ class TestExactDivision:
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             XY.exact_div(XY.parse("x"), XY.zero)
+        # divmod's own error and pow(0, -1, p)'s ValueError say otherwise
+        with pytest.raises(ZeroDivisionError, match="^integer division by zero$"):
+            ZZ.exact_div(1, 0)
+        with pytest.raises(ZeroDivisionError, match="^division by zero in Z/p$"):
+            F7.exact_div(1, 0)
 
     def test_product_division_roundtrip(self):
         rng = seeded_rng("divtrip")

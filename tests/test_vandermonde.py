@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 from itertools import combinations, permutations, product
 from math import comb, prod
@@ -205,6 +206,11 @@ class TestMinorProduct:
     def test_empty_product_is_one(self):
         X = random_matrix(ZZ, 2, 3, seeded_rng("muprime0"))
         assert mu_prime(X) == 1
+
+    def test_one_column_is_refused(self):
+        # n = 0: the product of the 1x1 minors would pass for mu'
+        with pytest.raises(ShapeError):
+            mu_prime(ExactMatrix.from_rows(ZZ, [[2], [3]]))
 
     def test_fewer_rows_than_n_is_empty_product(self):
         # m < n used to be a shape error
@@ -478,6 +484,25 @@ class TestVerifyHdv:
         assert doc["identity"] == "hdv"
         assert doc["lhs"] == doc["rhs"] == "-1"
         assert (doc["n"], doc["d"], doc["ring"]) == (1, 2, "int")
+
+    def test_report_doc_is_its_fields(self):
+        # every field but detail, under its own name, unless it is None;
+        # detail's keys are merged on top
+        report = verify_column_lemma(WORKED, 3, 0, 1)
+        names = {f.name for f in dataclasses.fields(report)} - {"detail", "sign"}
+        assert report.sign is None
+        assert set(report.to_doc()) == names | set(report.detail)
+        signed = dataclasses.replace(report, sign=-1, detail={"rhs": "7"})
+        assert signed.to_doc()["sign"] == -1 and signed.to_doc()["rhs"] == "7"
+
+    def test_a_new_field_reaches_the_document(self):
+        @dataclasses.dataclass
+        class Noted(vandermonde.VerificationReport):
+            note: str | None = None
+
+        base = vars(verify_hdv(WORKED))
+        assert Noted(**base, note="seen").to_doc()["note"] == "seen"
+        assert Noted(**base).to_doc() == verify_hdv(WORKED).to_doc()
 
 
 def _swap_first_rows(eta):
