@@ -79,10 +79,9 @@ def in_general_position(cfg: PointConfiguration) -> GenPosVerdict:
     failure the lex-least vanishing row subset is returned as witness."""
     _require_enough(cfg)
     M = cfg.matrix
-    minor = _minor_table(M)
-    cols = tuple(range(cfg.n + 1))
+    minors = _minor_table(M)
     for taken in combinations(range(cfg.m), cfg.n + 1):
-        if not minor(taken, cols):
+        if not minors(taken)[0]:
             return GenPosVerdict(False, taken, METHOD_MINORS, cfg.n, cfg.m, M.ring.describe())
     return GenPosVerdict(True, None, METHOD_MINORS, cfg.n, cfg.m, M.ring.describe())
 

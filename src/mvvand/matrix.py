@@ -1,11 +1,14 @@
 """Immutable dense matrices over a ring, with one exact determinant kernel per
 ring kind (packed Gaussian elimination over Z/p, two-step fraction-free
 Bareiss over Z, cofactor expansion over Z[x]) and Berkowitz as an oracle, and a
-lazy minor table that shares sub-minors between the minors it is asked for.
+minor table that builds all the maximal minors on a row set as one vector from
+its prefix's vector, the Plücker coordinates of the row set.
 """
 from __future__ import annotations
 
 import json
+from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 from .errors import BadIndexError, BadRingError, ParseError, ShapeError
@@ -158,80 +161,74 @@ def random_matrix(ring: Ring, nrows: int, ncols: int, rng) -> ExactMatrix:
 # rows of an order n >= 1 matrix and leaves them unchanged
 
 
+@cache
+def _expansion_plan(k: int, j: int) -> tuple:
+    """Laplace's expansion along the last row, from the order-j minors of a
+    k-column matrix to its order-(j+1) minors: for each (j+1)-subset T of
+    range(k), in ``combinations`` order, the terms (column t, index of T - {t}
+    among the j-subsets) that add, the first one apart so that a sum starts
+    from a product over every ring, and those that subtract.  The term of
+    T's pos-th column has sign (-1)^(j + pos)."""
+    index = {c: i for i, c in enumerate(combinations(range(k), j))}
+    plan = []
+    for T in combinations(range(k), j + 1):
+        terms = ([], [])
+        for pos, t in enumerate(T):
+            terms[(j + pos) % 2].append((t, index[T[:pos] + T[pos + 1:]]))
+        plan.append((terms[0][0], tuple(terms[0][1:]), tuple(terms[1])))
+    return tuple(plan)
+
+
 def _minor_table(M: ExactMatrix):
-    """Lazy memoised minors of M: ``minor(rows, cols)`` is the raw minor on
-    strictly increasing index tuples of equal length, which it does not
-    check; ``ExactMatrix.minor`` is the checked public minor.
+    """Minor table of M: ``minors(R)``, for a strictly increasing nonempty row
+    tuple R it does not check, is the vector of all raw |R| x |R| minors on
+    R, column sets in ``combinations(range(ncols), |R|)`` order.
+    ``ExactMatrix.minor`` is the checked public minor.
 
-    Sub-minors are cached on one int key, the row bitmask above the column
-    bitmask, and shared by every later call; the minor asked for is neither
-    looked up nor cached, as consumers read each once.
-    """
-    ring, rows, shift = M.ring, M._rows, M.ncols
-    memo = {}
-
-    def minor(R, C):
-        if not R:
-            return ring.one
-        key = 0
-        for i in R:
-            key |= 1 << (i + shift)
-        for j in C:
-            key |= 1 << j
-        return _laplace_minor(ring, rows, shift, memo, R, C, key)
-
-    return minor
-
-
-def _det_cofactor(ring, rows):
-    """Laplace expansion of an order n >= 1 determinant: the minor table's
-    expansion on every row and column, with a fresh memo."""
-    n = len(rows)
-    full = tuple(range(n))
-    return _laplace_minor(ring, rows, n, {}, full, full, (1 << 2 * n) - 1)
-
-
-def _laplace_minor(ring, rows, shift, memo, R, C, key):
-    """Minor on rows R and columns C (order >= 1, packed ``key``) by Laplace
-    expansion along row R[-1]; the sub-minors come from and go to ``memo``.
-
-    The expansion runs on raw values with Python's operators.  Over Z/p each
-    minor it returns, and so each one it memoises, is reduced once: entries
-    and sub-minors lie in [0, p), so an order-k sum stays below k*p^2 and
-    nothing is lost by reducing it only at the end.  The reduction is
+    The vector of R is :func:`_expansion_plan` applied to the vector of
+    R[:-1] and row R[-1]; the order-1 vector is the row itself.  Proper
+    prefixes are memoised on the row tuple and shared by every later call;
+    the vector asked for is returned, not stored, as consumers read each
+    once.  Over Z/p each minor is reduced once: entries and sub-minors lie
+    in [0, p), so an order-k sum stays below k*p^2.  The reduction is
     :meth:`Ring.reduce` written inline, as in vandermonde's ``mu_prime``,
     ``_times`` and ``_linear_form_products``: the method call cost 2-3% of
     genpos and numeric-zp benchmark wall time.
+    """
+    rows, k, p = M._rows, M.ncols, M.ring.modulus
+    # plans[j] takes order-j minors to order j+1; the order-1 vector needs none
+    plans = [None] + [_expansion_plan(k, j) for j in range(1, min(M.nrows, k))]
+    memo = {}
 
-    A module function, not a closure: a recursive closure would tie the memo
-    into a reference cycle that outlives its table until the cyclic
-    collector runs."""
-    row = rows[R[-1]]
-    k = len(R)
-    if k == 1:
-        return row[C[0]]
-    head = R[:-1]
-    key ^= 1 << (R[-1] + shift)
-    acc = None
-    for t, j in enumerate(C):
-        sub_key = key ^ (1 << j)
-        m = memo.get(sub_key)
-        if m is None:
-            m = memo[sub_key] = _laplace_minor(
-                ring, rows, shift, memo, head, C[:t] + C[t + 1:], sub_key
-            )
-        term = row[j] * m
-        if acc is None:
-            acc = term
-        elif t % 2:
-            acc = acc - term
-        else:
-            acc = acc + term
-    # expansion along row k-1 alternates signs with column position
-    if not k % 2:
-        acc = -acc
-    p = ring.modulus
-    return acc % p if p else acc
+    def minors(R):
+        # start from the longest prefix built so far, or from the first row
+        last = top = len(R) - 1
+        while top > 1 and (vec := memo.get(R[:top])) is None:
+            top -= 1
+        if top < 2:
+            vec, top = rows[R[0]], 1
+        for j in range(top, last + 1):
+            row = rows[R[j]]
+            out = []
+            for (t, i), plus, minus in plans[j]:
+                acc = row[t] * vec[i]
+                for t, i in plus:
+                    acc += row[t] * vec[i]
+                for t, i in minus:
+                    acc -= row[t] * vec[i]
+                out.append(acc % p if p else acc)
+            vec = out
+            if j < last:
+                memo[R[:j + 1]] = vec
+        return vec
+
+    return minors
+
+
+def _det_cofactor(ring, rows):
+    """Laplace expansion of an order n >= 1 determinant: entry 0 of the minor
+    table's vector of all rows, so the package has one Laplace expansion."""
+    return _minor_table(ExactMatrix(ring, rows))(tuple(range(len(rows))))[0]
 
 
 def _det_bareiss(ring, rows):

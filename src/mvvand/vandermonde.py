@@ -126,13 +126,9 @@ def mu_matrix(X: ExactMatrix) -> ExactMatrix:
     m = X.nrows
     if n < 1 or m < n:
         raise ShapeError(f"minor matrix undefined for shape {m}x{n + 1}")
-    minor = _minor_table(X)
-    all_cols = tuple(range(n + 1))
-    omit = [all_cols[:j] + all_cols[j + 1:] for j in all_cols]
-    rows = [
-        [minor(taken, cols) for cols in omit]
-        for taken in reversed(list(combinations(range(m), n)))
-    ]
+    minors = _minor_table(X)
+    # omitting column j, j = 0..n, is reverse combinations order on the rest
+    rows = [minors(taken)[::-1] for taken in reversed(list(combinations(range(m), n)))]
     return ExactMatrix(X.ring, rows)
 
 
@@ -143,7 +139,7 @@ def mu_prime(X: ExactMatrix):
     partial product is mu' of the leading rows of X: over Z[x] it never
     outgrows that sub-problem's answer, as lex-order partial products do.
     Over Z/p each partial product is reduced by :meth:`Ring.reduce` written
-    inline, as in ``_laplace_minor``.
+    inline, as in ``_minor_table``.
     """
     n = X.ncols - 1
     m = X.nrows
@@ -151,11 +147,10 @@ def mu_prime(X: ExactMatrix):
         raise ShapeError(f"minor product undefined for shape {m}x{n + 1}")
     ring = X.ring
     p = ring.modulus
-    minor = _minor_table(X)
+    minors = _minor_table(X)
     acc = ring.one
-    cols = tuple(range(n + 1))
     for taken in sorted(combinations(range(m), n + 1), key=lambda t: t[::-1]):
-        acc = acc * minor(taken, cols)
+        acc = acc * minors(taken)[0]
         if p:
             acc %= p
     return acc

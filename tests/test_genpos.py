@@ -103,6 +103,26 @@ class TestVerdicts:
             else:
                 assert verdict.in_general_position and verdict.witness is None
 
+    def test_dependent_leading_points_build_only_their_prefix_chain(self):
+        # the table multiplies a row entry by a minor: entries that count
+        # their products show the work behind the verdict
+        calls = 0
+
+        class Counted(int):
+            def __mul__(self, other):
+                nonlocal calls
+                calls += 1
+                return int(self) * other
+
+        rng = seeded_rng("prefix-chain")
+        rows = [[rng.randint(1, 50) for _ in range(3)] for _ in range(6)]
+        rows[2] = [a + b for a, b in zip(rows[0], rows[1])]
+        cfg = PointConfiguration(ExactMatrix(ZZ, [[Counted(v) for v in r] for r in rows]))
+        verdict = in_general_position(cfg)
+        assert verdict.witness == (0, 1, 2)
+        # the order-2 vector of (0, 1), 3 x 2 products, then 3 for (0, 1, 2)
+        assert calls == 6 + 3
+
     def test_witness_is_lex_least_not_least_last_row(self):
         # (0,1,9,10) and (2,3,4,5) both vanish; a scan that stopped at the
         # subset with the smallest last row would answer (2,3,4,5)

@@ -21,6 +21,7 @@ from mvvand.matrix import (
     _det_berkowitz,
     _det_cofactor,
     _det_field,
+    _expansion_plan,
     _minor_table,
     dumps_doc,
     random_matrix,
@@ -28,7 +29,7 @@ from mvvand.matrix import (
 )
 from mvvand.rings import Polynomial, PolynomialRing, PrimeField, ZZ
 from mvvand.selftest import NUMERIC_GRID
-from mvvand.vandermonde import eta_matrix, mu_matrix, veronese_matrix
+from mvvand.vandermonde import eta_matrix, mu_matrix, mu_prime, symbolic_matrix, veronese_matrix
 from oracles import det_by, det_mod_p, identity, lemma_matrices, submatrix
 
 XYZ = PolynomialRing(["x", "y", "z"])
@@ -373,12 +374,16 @@ class TestMinors:
     @example(ExactMatrix(ZZ, []))
     @example(M([[5]], F7))
     def test_table_matches_berkowitz(self, A):
-        minor = _minor_table(A)
-        for k in range(min(A.nrows, A.ncols) + 1):
+        minors = _minor_table(A)
+        # the table's row tuples are nonempty; the order-0 minor is the public one's
+        assert A.minor((), ()) == A.ring.one
+        for k in range(1, min(A.nrows, A.ncols) + 1):
             for rows in combinations(range(A.nrows), k):
-                for cols in combinations(range(A.ncols), k):
-                    expected = det_by(_det_berkowitz, submatrix(A, rows, cols))
-                    assert minor(rows, cols) == expected
+                expected = [
+                    det_by(_det_berkowitz, submatrix(A, rows, cols))
+                    for cols in combinations(range(A.ncols), k)
+                ]
+                assert list(minors(rows)) == expected
         if A.is_square:
             # the cofactor kernel is the table's expansion on the full matrix
             assert det_by(_det_cofactor, A) == det_by(_det_berkowitz, A)
@@ -389,13 +394,53 @@ class TestMinors:
         gc.collect()
         gc.disable()
         try:
-            minor = _minor_table(A)
+            minors = _minor_table(A)
             for rows in combinations(range(6), 3):
-                minor(rows, (0, 1, 2))
-            del minor
+                minors(rows)
+            del minors
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_plan_signs_and_sub_indices_match_permutation_parity(self, k):
+        for j in range(1, k):
+            below = list(combinations(range(k), j))
+            plan = _expansion_plan(k, j)
+            assert len(plan) == comb(k, j + 1)
+            for T, (first, plus, minus) in zip(combinations(range(k), j + 1), plan):
+                signed = [(t, i, 1) for t, i in (first, *plus)] + [(t, i, -1) for t, i in minus]
+                assert sorted(t for t, _, _ in signed) == list(T)
+                for t, i, sign in signed:
+                    assert below[i] == tuple(c for c in T if c != t)
+                    # rows 0..j-1 take the other columns in order, the last row t
+                    perm = [T.index(c) for c in below[i]] + [T.index(t)]
+                    inversions = sum(a > b for a, b in combinations(perm, 2))
+                    assert sign == (-1) ** inversions
+
+    def test_each_prefix_vector_is_built_once(self, monkeypatch):
+        # on 3 columns an order-2 vector takes 3 x 2 products and an order-3
+        # one 3; the order-1 vector is the row itself, with no product
+        calls = 0
+        mul = Polynomial.__mul__
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return mul(a, b)
+
+        # the formal mu' of a 6 x 3 matrix has too many terms to expand, so
+        # mu_prime runs on one over Z[t]
+        X = symbolic_matrix(6, 3)
+        Y = random_matrix(PolynomialRing(["t"]), 6, 3, seeded_rng("prefix-vectors"))
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        mu_matrix(X)
+        assert calls == comb(6, 2) * 6
+        calls = 0
+        mu_prime(Y)
+        # the 10 row pairs (a, b) with b < 5 are prefixes of the 20 triples;
+        # 20 more products multiply the triples' minors together
+        assert calls == 10 * 6 + 20 * 3 + 20
 
     def test_full_minor_is_det(self):
         A = random_matrix(ZZ, 4, 4, seeded_rng("full"))
