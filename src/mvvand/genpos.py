@@ -79,7 +79,7 @@ def in_general_position(cfg: PointConfiguration) -> GenPosVerdict:
     failure the lex-least vanishing row subset is returned as witness."""
     _require_enough(cfg)
     M = cfg.matrix
-    minors = _minor_table(M)
+    minors = _minor_table(M.ring, M.rows_raw())
     for taken in combinations(range(cfg.m), cfg.n + 1):
         if not minors(taken)[0]:
             return GenPosVerdict(False, taken, METHOD_MINORS, cfg.n, cfg.m, M.ring.describe())

@@ -1,8 +1,9 @@
 """Immutable dense matrices over a ring, with one exact determinant kernel per
 ring kind (packed Gaussian elimination over Z/p, two-step fraction-free
-Bareiss over Z, cofactor expansion over Z[x]) and Berkowitz as an oracle, and a
-minor table that builds all the maximal minors on a row set as one vector from
-its prefix's vector, the Plücker coordinates of the row set.
+Bareiss over Z, cofactor expansion over Z[x]) and Berkowitz as an oracle, and
+one expansion step by a cached plan: Laplace's builds the minor table (the
+Plücker coordinates of a row set, from its prefix's), the symmetric plan
+multiplies a form's coefficient vector by a linear form.
 """
 from __future__ import annotations
 
@@ -179,25 +180,67 @@ def _expansion_plan(k: int, j: int) -> tuple:
     return tuple(plan)
 
 
-def _minor_table(M: ExactMatrix):
-    """Minor table of M: ``minors(R)``, for a strictly increasing nonempty row
-    tuple R it does not check, is the vector of all raw |R| x |R| minors on
-    R, column sets in ``combinations(range(ncols), |R|)`` order.
-    ``ExactMatrix.minor`` is the checked public minor.
+def _exponent_vectors(k: int, d: int) -> list:
+    """Exponent vectors of total degree d in k >= 1 variables, in descending
+    lex order, each from the one before in O(k) steps."""
+    v = [d] + [0] * (k - 1)
+    out = [tuple(v)]
+    while v[-1] < d:
+        i = k - 2
+        while not v[i]:
+            i -= 1
+        # the last positive exponent but the final one passes one to its
+        # right neighbour, which also takes the final one
+        v[i], v[-1], v[i + 1] = v[i] - 1, 0, v[-1] + 1
+        out.append(tuple(v))
+    return out
 
-    The vector of R is :func:`_expansion_plan` applied to the vector of
-    R[:-1] and row R[-1]; the order-1 vector is the row itself.  Proper
-    prefixes are memoised on the row tuple and shared by every later call;
-    the vector asked for is returned, not stored, as consumers read each
-    once.  Over Z/p each minor is reduced once: entries and sub-minors lie
-    in [0, p), so an order-k sum stays below k*p^2.  The reduction is
-    :meth:`Ring.reduce` written inline, as in vandermonde's ``mu_prime``,
-    ``_times`` and ``_linear_form_products``: the method call cost 2-3% of
-    genpos and numeric-zp benchmark wall time.
-    """
-    rows, k, p = M._rows, M.ncols, M.ring.modulus
+
+@cache
+def _symmetric_plan(k: int, j: int) -> tuple:
+    """The product by a linear form in k variables, from degree-j to degree-(j+1)
+    coefficients in :func:`_exponent_vectors` order, in :func:`_expansion_plan`'s
+    layout: for each degree-(j+1) monomial T, one term (variable t, index of
+    T - e_t) per positive exponent, the first one apart, and none subtracts."""
+    index = {e: i for i, e in enumerate(_exponent_vectors(k, j))}
+    plan = []
+    for T in _exponent_vectors(k, j + 1):
+        terms = [(t, index[T[:t] + (T[t] - 1,) + T[t + 1:]]) for t in range(k) if T[t]]
+        plan.append((terms[0], tuple(terms[1:]), ()))
+    return tuple(plan)
+
+
+def _expand(plan, row, vec, p):
+    """One step of a plan: each output sums row[t] * vec[i] over the terms
+    that add, less those that subtract.  Over Z/p, p = the modulus, it is
+    reduced once (s products of entries in [0, p) stay below s*p^2), by
+    :meth:`Ring.reduce` written inline: the method call cost 2-3% of genpos
+    and numeric-zp benchmark wall time."""
+    out = []
+    for (t, i), plus, minus in plan:
+        acc = row[t] * vec[i]
+        for t, i in plus:
+            acc += row[t] * vec[i]
+        for t, i in minus:
+            acc -= row[t] * vec[i]
+        out.append(acc % p if p else acc)
+    return out
+
+
+def _minor_table(ring, rows):
+    """Minor table of the raw rows of a matrix over ``ring``: ``minors(R)``,
+    for a strictly increasing nonempty row tuple R, is the vector of all raw
+    |R| x |R| minors on R, column sets in ``combinations(range(ncols), |R|)``
+    order.  Neither rows nor R are checked; ``ExactMatrix.minor`` is.
+
+    The vector of R is one :func:`_expand` step of :func:`_expansion_plan`
+    on the vector of R[:-1] and row R[-1]; the order-1 vector is the row
+    itself.  Proper prefixes are memoised on the row tuple and shared by
+    every later call; the vector asked for is returned, not stored, as
+    consumers read each once."""
+    k, p = len(rows[0]) if rows else 0, ring.modulus
     # plans[j] takes order-j minors to order j+1; the order-1 vector needs none
-    plans = [None] + [_expansion_plan(k, j) for j in range(1, min(M.nrows, k))]
+    plans = [None] + [_expansion_plan(k, j) for j in range(1, min(len(rows), k))]
     memo = {}
 
     def minors(R):
@@ -208,16 +251,7 @@ def _minor_table(M: ExactMatrix):
         if top < 2:
             vec, top = rows[R[0]], 1
         for j in range(top, last + 1):
-            row = rows[R[j]]
-            out = []
-            for (t, i), plus, minus in plans[j]:
-                acc = row[t] * vec[i]
-                for t, i in plus:
-                    acc += row[t] * vec[i]
-                for t, i in minus:
-                    acc -= row[t] * vec[i]
-                out.append(acc % p if p else acc)
-            vec = out
+            vec = _expand(plans[j], rows[R[j]], vec, p)
             if j < last:
                 memo[R[:j + 1]] = vec
         return vec
@@ -228,7 +262,7 @@ def _minor_table(M: ExactMatrix):
 def _det_cofactor(ring, rows):
     """Laplace expansion of an order n >= 1 determinant: entry 0 of the minor
     table's vector of all rows, so the package has one Laplace expansion."""
-    return _minor_table(ExactMatrix(ring, rows))(tuple(range(len(rows))))[0]
+    return _minor_table(ring, rows)(tuple(range(len(rows))))[0]
 
 
 def _det_bareiss(ring, rows):

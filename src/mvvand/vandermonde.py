@@ -9,19 +9,20 @@ matrix orders its row products lexicographically on the rows taken, and
 monomials of degree d are listed in descending lexicographic order of their
 exponent vectors.
 
-One prefix-product rule, ``_products``, builds every product of d things:
-Veronese entries and symmetric-power columns (with repetition), dual-matrix
-rows and pairing entries (without).
+Every product of d things is its longest proper prefix's product times one
+more factor: ``_products`` multiplies Veronese and pairing entries with ``*``,
+``_linear_form_products`` the linear forms of symmetric-power columns and
+dual-matrix rows, as dense coefficient vectors, by the minor table's step.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
 from .errors import BadIndexError, ExponentOverflowError, ShapeError
 from .matrix import ExactMatrix, _minor_table, random_matrix, seeded_rng
+from .matrix import _expand, _exponent_vectors, _symmetric_plan
 from .rings import _EXP_LIMIT, Polynomial, PolynomialRing, RingElement, ZZ, _show
 
 
@@ -31,66 +32,49 @@ from .rings import _EXP_LIMIT, Polynomial, PolynomialRing, RingElement, ZZ, _sho
 
 def monomial_basis(n: int, d: int) -> tuple:
     """Exponent vectors of total degree d in n+1 variables, largest first:
-    the multisets of d variables come in lex order, so the vectors counting
-    them come out in descending lex order."""
+    the order of the symmetric plan in ``matrix``, so that a dense product
+    of linear forms is a row on this basis."""
     if n < 1:
         raise ShapeError("projective dimension must be at least 1")
     if d < 0:
         raise ShapeError("degree must be nonnegative")
-    out = []
-    for multiset in combinations_with_replacement(range(n + 1), d):
-        exps = [0] * (n + 1)
-        for k in multiset:
-            exps[k] += 1
-        out.append(tuple(exps))
+    out = tuple(_exponent_vectors(n + 1, d))
     assert len(out) == comb(n + d, n)
-    return tuple(out)
+    return out
 
 
-def _products(factors, d, repeat, one, times):
-    """Products of d of ``factors``, in the order ``combinations_with_replacement``
-    (with ``repeat``; :func:`monomial_basis` order) or ``combinations`` lists
-    the indices; ``[one]`` at d = 0, so callers refuse a negative d first.
-    Each product is one ``times`` of its longest proper prefix's product and
-    one more factor, so products share their prefixes' work."""
-    m, step = len(factors), 0 if repeat else 1
-    level = [(0, one)]  # (least index the next factor may take, product)
+def _products(ring, factors, d, repeat):
+    """Products of d raw values of ``ring``, in the order
+    ``combinations_with_replacement`` (with ``repeat``; :func:`monomial_basis`
+    order) or ``combinations`` lists the indices; ``[ring.one]`` at d = 0, so
+    callers refuse a negative d first.  Products share their prefixes' work.
+    Over Z/p each is reduced once, at the end: d factors in [0, p) stay below
+    p^d."""
+    m, step, p = len(factors), 0 if repeat else 1, ring.modulus
+    level = [(0, ring.one)]  # (least index the next factor may take, product)
     for t in range(d):
         # without repeat, leave room for the d - 1 - t factors still to come
         stop = m - step * (d - 1 - t)
-        level = [(k + step, times(acc, factors[k])) for i, acc in level for k in range(i, stop)]
-    return [acc for _, acc in level]
-
-
-def _times(ring):
-    """Product of two raw values of ``ring``, reduced inline over Z/p."""
-    p = ring.modulus
-    return (lambda a, b: a * b % p) if p else operator.mul
+        level = [(k + step, acc * factors[k]) for i, acc in level for k in range(i, stop)]
+    return [acc % p if p else acc for _, acc in level]
 
 
 def _linear_form_products(ring, forms, d, repeat, nvars):
     """Coefficient rows, on the degree-d monomial basis in nvars variables, of
     the products of d of the linear forms sum_k c_k Y_k, as :func:`_products`
-    lists them.  A monomial's key packs its exponents in base d + 1, the first
-    variable most significant, so a product's key is the sum of its factors'
-    keys.  A product is a dict from key to raw coefficient; each form's zero
-    coefficients are dropped once, and over Z/p each coefficient is reduced
-    once per form (at most nvars products below p^2 are summed)."""
-    p = ring.modulus
-    weights = [(d + 1) ** (nvars - 1 - k) for k in range(nvars)]
-
-    def times(acc, nonzero):
-        new = {}
-        for key, a in acc.items():
-            for w, c in nonzero:
-                k = key + w
-                new[k] = new[k] + a * c if k in new else a * c
-        return {k: v % p for k, v in new.items()} if p else new
-
-    keys = _products(weights, d, True, 0, int.__add__)
-    sparse = [[(w, c) for w, c in zip(weights, f) if c] for f in forms]
-    products = _products(sparse, d, repeat, {0: ring.one}, times)
-    return [[acc.get(k, ring.zero) for k in keys] for acc in products]
+    lists them and with its prefix sharing.  A product of one form is the
+    form itself, and of t + 1 forms one :func:`matrix._expand` step of the
+    symmetric plan, the minor table's step, on its prefix's product of t."""
+    if not d:
+        return [[ring.one]]
+    p, m, step = ring.modulus, len(forms), 0 if repeat else 1
+    level = [(k + step, forms[k]) for k in range(m - step * (d - 1))]
+    for t in range(1, d):
+        plan, stop = _symmetric_plan(nvars, t), m - step * (d - 1 - t)
+        level = [
+            (k + step, _expand(plan, forms[k], vec, p)) for i, vec in level for k in range(i, stop)
+        ]
+    return [vec for _, vec in level]
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +95,7 @@ def veronese_matrix(X: ExactMatrix, d: int) -> ExactMatrix:
         raise ShapeError("Veronese image needs at least two columns")
     if d < 0:
         raise ShapeError("degree must be nonnegative")
-    ring, times = X.ring, _times(X.ring)
-    return ExactMatrix(ring, [_products(row, d, True, ring.one, times) for row in X.rows_raw()])
+    return ExactMatrix(X.ring, [_products(X.ring, row, d, True) for row in X.rows_raw()])
 
 
 def mu_matrix(X: ExactMatrix) -> ExactMatrix:
@@ -126,7 +109,7 @@ def mu_matrix(X: ExactMatrix) -> ExactMatrix:
     m = X.nrows
     if n < 1 or m < n:
         raise ShapeError(f"minor matrix undefined for shape {m}x{n + 1}")
-    minors = _minor_table(X)
+    minors = _minor_table(X.ring, X.rows_raw())
     # omitting column j, j = 0..n, is reverse combinations order on the rest
     rows = [minors(taken)[::-1] for taken in reversed(list(combinations(range(m), n)))]
     return ExactMatrix(X.ring, rows)
@@ -139,7 +122,7 @@ def mu_prime(X: ExactMatrix):
     partial product is mu' of the leading rows of X: over Z[x] it never
     outgrows that sub-problem's answer, as lex-order partial products do.
     Over Z/p each partial product is reduced by :meth:`Ring.reduce` written
-    inline, as in ``_minor_table``.
+    inline, as in ``matrix._expand``.
     """
     n = X.ncols - 1
     m = X.nrows
@@ -147,7 +130,7 @@ def mu_prime(X: ExactMatrix):
         raise ShapeError(f"minor product undefined for shape {m}x{n + 1}")
     ring = X.ring
     p = ring.modulus
-    minors = _minor_table(X)
+    minors = _minor_table(X.ring, X.rows_raw())
     acc = ring.one
     for taken in sorted(combinations(range(m), n + 1), key=lambda t: t[::-1]):
         acc = acc * minors(taken)[0]
@@ -196,13 +179,13 @@ def pairing_matrix(X: ExactMatrix) -> ExactMatrix:
     and whose remaining rows are the rows outside s, in increasing order.
     Off-diagonal entries vanish identically."""
     n, d = _shape_nd(X)
-    ring, times, raw = X.ring, _times(X.ring), X.rows_raw()
+    ring, raw = X.ring, X.rows_raw()
     rows = []
     for s in combinations(range(n + d), d):
         outside = [raw[i] for i in range(n + d) if i not in s]
         # one determinant per row j; each entry of this row multiplies d of them
         block = [ExactMatrix(ring, [raw[j]] + outside).det() for j in range(n + d)]
-        rows.append(_products(block, d, False, ring.one, times))
+        rows.append(_products(ring, block, d, False))
     return ExactMatrix(ring, rows)
 
 
@@ -233,10 +216,13 @@ class VerificationReport:
     def to_doc(self) -> dict:
         """The report's document is its fields (the instance's attributes):
         each one that is not None, under its own name, ``lhs`` and ``rhs`` as
-        their text, and ``detail`` merged on top in place of its own key."""
+        their text (equal sides formatted once), and ``detail`` merged on top
+        in place of its own key."""
         doc = {k: v for k, v in vars(self).items() if v is not None}
         detail = doc.pop("detail")
-        return {**doc, "lhs": str(self.lhs), "rhs": str(self.rhs), **detail}
+        lhs = str(self.lhs)
+        rhs = lhs if self.rhs == self.lhs else str(self.rhs)
+        return {**doc, "lhs": lhs, "rhs": rhs, **detail}
 
 
 def _report(

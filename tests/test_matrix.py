@@ -23,14 +23,22 @@ from mvvand.matrix import (
     _det_field,
     _expansion_plan,
     _minor_table,
+    _symmetric_plan,
     dumps_doc,
     random_matrix,
     seeded_rng,
 )
 from mvvand.rings import Polynomial, PolynomialRing, PrimeField, ZZ
 from mvvand.selftest import NUMERIC_GRID
-from mvvand.vandermonde import eta_matrix, mu_matrix, mu_prime, symbolic_matrix, veronese_matrix
-from oracles import det_by, det_mod_p, identity, lemma_matrices, submatrix
+from mvvand.vandermonde import (
+    eta_matrix,
+    monomial_basis,
+    mu_matrix,
+    mu_prime,
+    symbolic_matrix,
+    veronese_matrix,
+)
+from oracles import det_by, det_mod_p, exponent_vectors, identity, lemma_matrices, submatrix
 
 XYZ = PolynomialRing(["x", "y", "z"])
 XY = PolynomialRing(["x", "y"])
@@ -374,7 +382,7 @@ class TestMinors:
     @example(ExactMatrix(ZZ, []))
     @example(M([[5]], F7))
     def test_table_matches_berkowitz(self, A):
-        minors = _minor_table(A)
+        minors = _minor_table(A.ring, A.rows_raw())
         # the table's row tuples are nonempty; the order-0 minor is the public one's
         assert A.minor((), ()) == A.ring.one
         for k in range(1, min(A.nrows, A.ncols) + 1):
@@ -394,7 +402,7 @@ class TestMinors:
         gc.collect()
         gc.disable()
         try:
-            minors = _minor_table(A)
+            minors = _minor_table(A.ring, A.rows_raw())
             for rows in combinations(range(6), 3):
                 minors(rows)
             del minors
@@ -417,6 +425,22 @@ class TestMinors:
                     perm = [T.index(c) for c in below[i]] + [T.index(t)]
                     inversions = sum(a > b for a, b in combinations(perm, 2))
                     assert sign == (-1) ** inversions
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_symmetric_plan_terms_are_the_monomials_divided_by_each_variable(self, k):
+        for j in range(6):
+            below, above = exponent_vectors(k, j), exponent_vectors(k, j + 1)
+            # the outputs come in monomial_basis order, which has k >= 2 variables
+            if k >= 2:
+                assert above == monomial_basis(k - 1, j + 1)
+            plan = _symmetric_plan(k, j)
+            assert len(plan) == len(above)
+            for T, (first, plus, minus) in zip(above, plan):
+                # one term per positive exponent, whatever its size, and all add
+                assert minus == ()
+                assert [t for t, _ in (first, *plus)] == [t for t in range(k) if T[t]]
+                for t, i in (first, *plus):
+                    assert below[i] == tuple(e - (c == t) for c, e in enumerate(T))
 
     def test_each_prefix_vector_is_built_once(self, monkeypatch):
         # on 3 columns an order-2 vector takes 3 x 2 products and an order-3

@@ -335,16 +335,21 @@ class TestLinearFormExpansion:
     """eta_matrix and sym_power_matrix against the tuple-keyed expansion,
     one ring operation at a time."""
 
-    RINGS = [ZZ, PrimeField(7), PrimeField(1_000_003), XY]
+    RINGS = [ZZ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(1_000_003),
+             PrimeField(2**61 - 1), XY]
 
     @pytest.mark.parametrize("ring", RINGS, ids=str)
-    @pytest.mark.parametrize("n,d", [(1, 0), (2, 0), (1, 1), (1, 3), (2, 2), (3, 1), (2, 3)])
+    @pytest.mark.parametrize(
+        "n,d", [(1, 0), (2, 0), (1, 1), (1, 3), (2, 2), (3, 1), (2, 3), (1, 4), (2, 4)]
+    )
     def test_eta_matches_oracle(self, ring, n, d):
         X = random_matrix(ring, n + d, n + 1, seeded_rng("etaoracle", n, d))
         assert eta_matrix(X) == eta_matrix_by_tuples(X, monomial_basis(n, d))
 
     @pytest.mark.parametrize("ring", RINGS, ids=str)
-    @pytest.mark.parametrize("m,d", [(1, 0), (1, 3), (2, 0), (2, 3), (3, 2), (4, 1)])
+    @pytest.mark.parametrize(
+        "m,d", [(1, 0), (1, 3), (2, 0), (2, 3), (3, 2), (4, 1), (2, 4), (3, 4)]
+    )
     def test_sym_power_matches_oracle(self, ring, m, d):
         u = random_matrix(ring, m, m, seeded_rng("symoracle", m, d))
         assert sym_power_matrix(u, d) == sym_power_by_tuples(u, exponent_vectors(m, d))
@@ -357,15 +362,46 @@ class TestLinearFormExpansion:
                     [[1, 0, 1], [3, 0, 0], [0, 1, 1]], [[0, 0, 0], [0, 0, 0], [-1, 0, 2]]]
         else:
             rows = [[0, 5, 0], [0, 0, 0], [4, 6, 1], [0, 0, -1]]
-        X = _linear_forms(ring, rows)
-        expect = eta_matrix_by_tuples(X, monomial_basis(2, 2))
-        assert eta_matrix(X) == expect
-        # the row choices that take the zero row give zero rows
-        zero_rows = [r for r, taken in enumerate(combinations(range(4), 2)) if 1 in taken]
-        assert all(v == ring.zero for r in zero_rows for v in expect.rows_raw()[r])
+        for d in range(5):
+            # rows 1 and 5 are zero
+            X = _linear_forms(ring, (rows * 2)[:2 + d])
+            expect = eta_matrix_by_tuples(X, monomial_basis(2, d))
+            assert eta_matrix(X) == expect
+            # the row choices that take a zero row give zero rows
+            zero_rows = [
+                r for r, taken in enumerate(combinations(range(2 + d), d)) if {1, 5} & set(taken)
+            ]
+            assert all(v == ring.zero for r in zero_rows for v in expect.rows_raw()[r])
         u = _linear_forms(ring, rows[:3])
-        for d in range(4):
+        for d in range(5):
             assert sym_power_matrix(u, d) == sym_power_by_tuples(u, exponent_vectors(3, d))
+
+    def test_each_prefix_product_is_built_once(self, monkeypatch):
+        calls = 0
+        mul = Polynomial.__mul__
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return mul(a, b)
+
+        def step(k, L):
+            # a product of L forms in k variables is one step on its prefix's
+            # product of L - 1; it takes one product per pair (T, t) with
+            # T[t] > 0, as many as the monomials of degree L - 1 times k
+            return k * comb(k + L - 2, L - 1)
+
+        n, d = 2, 3
+        X, u = symbolic_matrix(n + d, n + 1), symbolic_matrix(3, 3)
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        eta_matrix(X)
+        # the L-prefixes of the d-subsets of range(n + d) are the L-subsets of
+        # range(n + L); a product of one form is the form, with no product
+        assert calls == sum(comb(n + L, L) * step(n + 1, L) for L in range(2, d + 1))
+        calls = 0
+        sym_power_matrix(u, 3)
+        # with repetition every L-multiset of the 3 columns is a prefix
+        assert calls == sum(comb(3 + L - 1, L) * step(3, L) for L in range(2, 4))
 
 
 PAIRING_CASES = [(ring, n, d) for ring in (ZZ, PrimeField(7)) for n, d in ((1, 2), (2, 2), (2, 3))]
@@ -484,6 +520,26 @@ class TestVerifyHdv:
         assert doc["identity"] == "hdv"
         assert doc["lhs"] == doc["rhs"] == "-1"
         assert (doc["n"], doc["d"], doc["ring"]) == (1, 2, "int")
+
+    def test_report_formats_equal_sides_once(self, monkeypatch):
+        ring = PolynomialRing(["x"])
+        x = ring.parse("x")
+        equal = _report("hdv", 1, 1, ring, x, ring.parse("x"), "equal")
+        unequal = _report("hdv", 1, 1, ring, x, ring.parse("x + 1"), "equal")
+        calls = 0
+        fmt = PolynomialRing.format
+
+        def counted(self, v):
+            nonlocal calls
+            calls += 1
+            return fmt(self, v)
+
+        monkeypatch.setattr(PolynomialRing, "format", counted)
+        doc = equal.to_doc()
+        assert calls == 1 and doc["lhs"] == doc["rhs"] == "x"
+        calls = 0
+        doc = unequal.to_doc()
+        assert calls == 2 and (doc["lhs"], doc["rhs"]) == ("x", "x + 1")
 
     def test_report_doc_is_its_fields(self):
         # every field but detail, under its own name, unless it is None;
