@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BadRingError, NotEnoughPointsError, ZeroPointError
-from .matrix import ExactMatrix, _minor_table
+from .matrix import ExactMatrix, _minor_walk
 from .rings import IntegerRing, PrimeField
 from .vandermonde import eta_matrix
 
@@ -79,9 +79,9 @@ def in_general_position(cfg: PointConfiguration) -> GenPosVerdict:
     failure the lex-least vanishing row subset is returned as witness."""
     _require_enough(cfg)
     M = cfg.matrix
-    minors = _minor_table(M.ring, M.rows_raw())
-    for taken in combinations(range(cfg.m), cfg.n + 1):
-        if not minors(taken)[0]:
+    walk = _minor_walk(M.ring, M.rows_raw(), cfg.n + 1)
+    for taken, (minor,) in zip(combinations(range(cfg.m), cfg.n + 1), walk):
+        if not minor:
             return GenPosVerdict(False, taken, METHOD_MINORS, cfg.n, cfg.m, M.ring.describe())
     return GenPosVerdict(True, None, METHOD_MINORS, cfg.n, cfg.m, M.ring.describe())
 

@@ -1,8 +1,8 @@
 """Immutable dense matrices over a ring, with one exact determinant kernel per
 ring kind (packed Gaussian elimination over Z/p, two-step fraction-free
 Bareiss over Z, cofactor expansion over Z[x]) and Berkowitz as an oracle, and
-one expansion step by a cached plan: Laplace's builds the minor table (the
-Plücker coordinates of a row set, from its prefix's), the symmetric plan
+one expansion step by a cached plan: Laplace's walks the row sets in lex
+order (their Plücker coordinates, from their prefixes'), the symmetric plan
 multiplies a form's coefficient vector by a linear form.
 """
 from __future__ import annotations
@@ -158,7 +158,7 @@ def random_matrix(ring: Ring, nrows: int, ncols: int, rng) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the minor table and the determinant kernels; kernel(ring, rows) takes the raw
+# the minor walk and the determinant kernels; kernel(ring, rows) takes the raw
 # rows of an order n >= 1 matrix and leaves them unchanged
 
 
@@ -201,11 +201,12 @@ def _symmetric_plan(k: int, j: int) -> tuple:
     """The product by a linear form in k variables, from degree-j to degree-(j+1)
     coefficients in :func:`_exponent_vectors` order, in :func:`_expansion_plan`'s
     layout: for each degree-(j+1) monomial T, one term (variable t, index of
-    T - e_t) per positive exponent, the first one apart, and none subtracts."""
+    T - e_t) per positive exponent, the last variable's first (a multiset's
+    last letter and its prefix), and none subtracts."""
     index = {e: i for i, e in enumerate(_exponent_vectors(k, j))}
     plan = []
     for T in _exponent_vectors(k, j + 1):
-        terms = [(t, index[T[:t] + (T[t] - 1,) + T[t + 1:]]) for t in range(k) if T[t]]
+        terms = [(t, index[T[:t] + (T[t] - 1,) + T[t + 1:]]) for t in reversed(range(k)) if T[t]]
         plan.append((terms[0], tuple(terms[1:]), ()))
     return tuple(plan)
 
@@ -227,42 +228,44 @@ def _expand(plan, row, vec, p):
     return out
 
 
-def _minor_table(ring, rows):
-    """Minor table of the raw rows of a matrix over ``ring``: ``minors(R)``,
-    for a strictly increasing nonempty row tuple R, is the vector of all raw
-    |R| x |R| minors on R, column sets in ``combinations(range(ncols), |R|)``
-    order.  Neither rows nor R are checked; ``ExactMatrix.minor`` is.
-
-    The vector of R is one :func:`_expand` step of :func:`_expansion_plan`
-    on the vector of R[:-1] and row R[-1]; the order-1 vector is the row
-    itself.  Proper prefixes are memoised on the row tuple and shared by
-    every later call; the vector asked for is returned, not stored, as
-    consumers read each once."""
-    k, p = len(rows[0]) if rows else 0, ring.modulus
-    # plans[j] takes order-j minors to order j+1; the order-1 vector needs none
-    plans = [None] + [_expansion_plan(k, j) for j in range(1, min(len(rows), k))]
-    memo = {}
-
-    def minors(R):
-        # start from the longest prefix built so far, or from the first row
-        last = top = len(R) - 1
-        while top > 1 and (vec := memo.get(R[:top])) is None:
-            top -= 1
-        if top < 2:
-            vec, top = rows[R[0]], 1
-        for j in range(top, last + 1):
-            vec = _expand(plans[j], rows[R[j]], vec, p)
-            if j < last:
-                memo[R[:j + 1]] = vec
-        return vec
-
-    return minors
+def _minor_walk(ring, rows, size):
+    """For each size-subset R of the raw rows of a matrix over ``ring``, in
+    ``combinations`` order, the vector of its raw size x size minors, column
+    sets in ``combinations(range(ncols), size)`` order; neither rows nor
+    size >= 1 are checked.  The vector of R is one :func:`_expand` step of
+    :func:`_expansion_plan` on that of R[:-1] and row R[-1], of R[:1] the row.
+    A stack holds those of R[:1], ..., R[:-1], and a new prefix rebuilds
+    only its levels whose row changed: each is built once, dropped when the
+    walk leaves it, and never past the set at which a consumer stops."""
+    m, p = len(rows), ring.modulus
+    if size == 1:
+        yield from rows
+    if not 1 < size <= m:
+        return
+    # plans[j] takes order j + 1 to j + 2; stack[j] is the vector of prefix[:j + 1]
+    plans = [_expansion_plan(len(rows[0]), j) for j in range(1, size)]
+    prefix, stack, low, last = list(range(size - 1)), [None] * (size - 1), 0, plans[-1]
+    while True:
+        for j in range(low, size - 1):
+            row = rows[prefix[j]]
+            stack[j] = _expand(plans[j - 1], row, stack[j - 1], p) if j else row
+        top = stack[-1]
+        for row in rows[prefix[-1] + 1:]:
+            yield _expand(last, row, top, p)
+        # advance the last level below its top row, m - size + level; the rest follow it
+        low = size - 2
+        while prefix[low] == m - size + low:
+            low -= 1
+            if low < 0:
+                return
+        prefix[low:] = range(prefix[low] + 1, prefix[low] + size - low)
 
 
 def _det_cofactor(ring, rows):
-    """Laplace expansion of an order n >= 1 determinant: entry 0 of the minor
-    table's vector of all rows, so the package has one Laplace expansion."""
-    return _minor_table(ring, rows)(tuple(range(len(rows))))[0]
+    """Laplace expansion of an order n >= 1 determinant, the walk's one minor on
+    all rows; unpacking ends the walk (closing it suspended cost 0.1 us)."""
+    [(det,)] = _minor_walk(ring, rows, len(rows))
+    return det
 
 
 def _det_bareiss(ring, rows):

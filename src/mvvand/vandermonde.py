@@ -9,10 +9,9 @@ matrix orders its row products lexicographically on the rows taken, and
 monomials of degree d are listed in descending lexicographic order of their
 exponent vectors.
 
-Every product of d things is its longest proper prefix's product times one
-more factor: ``_products`` multiplies Veronese and pairing entries with ``*``,
-``_linear_form_products`` the linear forms of symmetric-power columns and
-dual-matrix rows, as dense coefficient vectors, by the minor table's step.
+Every product of d things is its first d - 1 factors' product times its last,
+as the symmetric plan indexes them: Veronese and pairing entries with ``*``
+(``_products``), products of linear forms by the minor walk's step.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import BadIndexError, ExponentOverflowError, ShapeError
-from .matrix import ExactMatrix, _minor_table, random_matrix, seeded_rng
+from .matrix import ExactMatrix, _minor_walk, random_matrix, seeded_rng
 from .matrix import _expand, _exponent_vectors, _symmetric_plan
 from .rings import _EXP_LIMIT, Polynomial, PolynomialRing, RingElement, ZZ, _show
 
@@ -47,34 +46,36 @@ def _products(ring, factors, d, repeat):
     """Products of d raw values of ``ring``, in the order
     ``combinations_with_replacement`` (with ``repeat``; :func:`monomial_basis`
     order) or ``combinations`` lists the indices; ``[ring.one]`` at d = 0, so
-    callers refuse a negative d first.  Products share their prefixes' work.
-    Over Z/p each is reduced once, at the end: d factors in [0, p) stay below
-    p^d."""
-    m, step, p = len(factors), 0 if repeat else 1, ring.modulus
-    level = [(0, ring.one)]  # (least index the next factor may take, product)
-    for t in range(d):
-        # without repeat, leave room for the d - 1 - t factors still to come
-        stop = m - step * (d - 1 - t)
-        level = [(k + step, acc * factors[k]) for i, acc in level for k in range(i, stop)]
-    return [acc % p if p else acc for _, acc in level]
+    callers refuse a negative d first.  Each is its first t factors' product
+    times the last, read from ``matrix._symmetric_plan`` on g letters: letter
+    j is factor j, or t + j with g = m - d + 1 without repetition (the
+    bijection of :func:`verify_dual`).  Over Z/p each is reduced once, at the
+    end: d factors in [0, p) stay below p^d."""
+    shift, p = 0 if repeat else 1, ring.modulus
+    g = len(factors) - shift * (d - 1)
+    if not d or g < 1:
+        return [] if d else [ring.one]
+    level = list(factors[:g])
+    for t in range(1, d):
+        level = [level[i] * factors[j + shift * t] for (j, i), _, _ in _symmetric_plan(g, t)]
+    return [v % p for v in level] if p else level
 
 
 def _linear_form_products(ring, forms, d, repeat, nvars):
     """Coefficient rows, on the degree-d monomial basis in nvars variables, of
     the products of d of the linear forms sum_k c_k Y_k, as :func:`_products`
-    lists them and with its prefix sharing.  A product of one form is the
-    form itself, and of t + 1 forms one :func:`matrix._expand` step of the
-    symmetric plan, the minor table's step, on its prefix's product of t."""
+    lists and factors them: a product of one form is the form itself, and of
+    t + 1 forms one :func:`matrix._expand` step of the symmetric plan, the
+    minor walk's step, on its product of the first t."""
     if not d:
         return [[ring.one]]
-    p, m, step = ring.modulus, len(forms), 0 if repeat else 1
-    level = [(k + step, forms[k]) for k in range(m - step * (d - 1))]
+    shift, p = 0 if repeat else 1, ring.modulus
+    g = len(forms) - shift * (d - 1)
+    level = forms[:g]
     for t in range(1, d):
-        plan, stop = _symmetric_plan(nvars, t), m - step * (d - 1 - t)
-        level = [
-            (k + step, _expand(plan, forms[k], vec, p)) for i, vec in level for k in range(i, stop)
-        ]
-    return [vec for _, vec in level]
+        plan, steps = _symmetric_plan(nvars, t), _symmetric_plan(g, t)
+        level = [_expand(plan, forms[j + shift * t], level[i], p) for (j, i), _, _ in steps]
+    return list(level)
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +106,12 @@ def mu_matrix(X: ExactMatrix) -> ExactMatrix:
     omitted rows, which is reverse lex order on the rows taken; column j
     holds the minor omitting column j.  Minors are raw (no cofactor signs).
     """
-    n = X.ncols - 1
-    m = X.nrows
+    n, m = X.ncols - 1, X.nrows
     if n < 1 or m < n:
         raise ShapeError(f"minor matrix undefined for shape {m}x{n + 1}")
-    minors = _minor_table(X.ring, X.rows_raw())
     # omitting column j, j = 0..n, is reverse combinations order on the rest
-    rows = [minors(taken)[::-1] for taken in reversed(list(combinations(range(m), n)))]
-    return ExactMatrix(X.ring, rows)
+    rows = [minors[::-1] for minors in _minor_walk(X.ring, X.rows_raw(), n)]
+    return ExactMatrix(X.ring, rows[::-1])
 
 
 def mu_prime(X: ExactMatrix):
@@ -124,16 +123,14 @@ def mu_prime(X: ExactMatrix):
     Over Z/p each partial product is reduced by :meth:`Ring.reduce` written
     inline, as in ``matrix._expand``.
     """
-    n = X.ncols - 1
-    m = X.nrows
+    n, m = X.ncols - 1, X.nrows
     if n < 1:
         raise ShapeError(f"minor product undefined for shape {m}x{n + 1}")
-    ring = X.ring
-    p = ring.modulus
-    minors = _minor_table(X.ring, X.rows_raw())
+    ring, p = X.ring, X.ring.modulus
+    walk = zip(combinations(range(m), n + 1), _minor_walk(ring, X.rows_raw(), n + 1))
     acc = ring.one
-    for taken in sorted(combinations(range(m), n + 1), key=lambda t: t[::-1]):
-        acc = acc * minors(taken)[0]
+    for _, (minor,) in sorted(walk, key=lambda pair: pair[0][::-1]):
+        acc = acc * minor
         if p:
             acc %= p
     return acc

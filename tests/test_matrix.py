@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -22,7 +23,7 @@ from mvvand.matrix import (
     _det_cofactor,
     _det_field,
     _expansion_plan,
-    _minor_table,
+    _minor_walk,
     _symmetric_plan,
     dumps_doc,
     random_matrix,
@@ -381,34 +382,51 @@ class TestMinors:
     @given(any_ring_matrix())
     @example(ExactMatrix(ZZ, []))
     @example(M([[5]], F7))
-    def test_table_matches_berkowitz(self, A):
-        minors = _minor_table(A.ring, A.rows_raw())
-        # the table's row tuples are nonempty; the order-0 minor is the public one's
+    @example(M([[1, 2, 3, 4], [5, 6, 0, 1], [2, 2, 6, 3]], F7))
+    @example(M([[1, 2], [3, 4], [5, 6], [7, 9], [2, -2]]))
+    def test_walk_matches_berkowitz(self, A):
+        # the walk's sizes are positive; the order-0 minor is the public one's
         assert A.minor((), ()) == A.ring.one
-        for k in range(1, min(A.nrows, A.ncols) + 1):
-            for rows in combinations(range(A.nrows), k):
-                expected = [
-                    det_by(_det_berkowitz, submatrix(A, rows, cols))
-                    for cols in combinations(range(A.ncols), k)
-                ]
-                assert list(minors(rows)) == expected
+        # size 1 yields the rows, past ncols every vector is empty, and past
+        # nrows there is none
+        for size in range(1, A.nrows + A.ncols + 2):
+            expected = [
+                [det_by(_det_berkowitz, submatrix(A, rows, cols))
+                 for cols in combinations(range(A.ncols), size)]
+                for rows in combinations(range(A.nrows), size)
+            ]
+            assert [list(v) for v in _minor_walk(A.ring, A.rows_raw(), size)] == expected
         if A.is_square:
-            # the cofactor kernel is the table's expansion on the full matrix
+            # the cofactor kernel is the walk's expansion on the full matrix
             assert det_by(_det_cofactor, A) == det_by(_det_berkowitz, A)
 
-    def test_table_is_freed_without_the_cycle_collector(self):
-        # a memo caught in a reference cycle lingers until a full collection
+    def test_abandoned_walk_is_freed_without_the_cycle_collector(self):
+        # a stack caught in a reference cycle lingers until a full collection
         A = random_matrix(FP, 6, 3, seeded_rng("cycle"))
         gc.collect()
         gc.disable()
         try:
-            minors = _minor_table(A.ring, A.rows_raw())
-            for rows in combinations(range(6), 3):
-                minors(rows)
-            del minors
+            walk = _minor_walk(A.ring, A.rows_raw(), 3)
+            for _, vec in zip(range(7), walk):
+                pass
+            del walk, vec
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_walk_holds_one_vector_per_level(self):
+        # a memo of every 3-row prefix of 60 rows held 7.7 MB; the walk holds
+        # three prefix vectors and the one it yields
+        A = random_matrix(FP, 60, 4, seeded_rng("walk-memory"))
+        walk = _minor_walk(A.ring, A.rows_raw(), 4)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in walk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == comb(60, 4)
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_plan_signs_and_sub_indices_match_permutation_parity(self, k):
@@ -436,9 +454,10 @@ class TestMinors:
             plan = _symmetric_plan(k, j)
             assert len(plan) == len(above)
             for T, (first, plus, minus) in zip(above, plan):
-                # one term per positive exponent, whatever its size, and all add
+                # one term per positive exponent, whatever its size, and all
+                # add; the last variable's first, as the product rule reads it
                 assert minus == ()
-                assert [t for t, _ in (first, *plus)] == [t for t in range(k) if T[t]]
+                assert [t for t, _ in (first, *plus)] == [t for t in reversed(range(k)) if T[t]]
                 for t, i in (first, *plus):
                     assert below[i] == tuple(e - (c == t) for c, e in enumerate(T))
 

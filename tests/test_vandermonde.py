@@ -1,6 +1,6 @@
 import dataclasses
 import inspect
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, prod
 
 import pytest
@@ -115,6 +115,42 @@ class TestVeronese:
             for row in X.rows_raw()
         ]
         assert veronese_matrix(X, d) == ExactMatrix(ring, expect)
+
+
+class TestProducts:
+    PRIMES = (2, 3, 5, 7, 11, 13)
+
+    @pytest.mark.parametrize("repeat", [True, False], ids=["with-repeat", "without"])
+    @pytest.mark.parametrize("ring", [ZZ, PrimeField(7), PrimeField(1_000_003)], ids=str)
+    def test_matches_itertools(self, ring, repeat):
+        # distinct primes, so a product of the wrong factors shows
+        choose = combinations_with_replacement if repeat else combinations
+        for m in range(1, len(self.PRIMES) + 1):
+            factors = [ring.coerce(v) for v in self.PRIMES[:m]]
+            for d in range(m + 3):
+                expect = [ring.reduce(prod(ks, start=ring.one)) for ks in choose(factors, d)]
+                assert vandermonde._products(ring, factors, d, repeat) == expect
+        # without repetition, more factors than there are give none
+        assert vandermonde._products(ZZ, [2, 3], 3, False) == []
+
+    @pytest.mark.parametrize("repeat", [True, False], ids=["with-repeat", "without"])
+    @pytest.mark.parametrize("m,d", [(3, 1), (3, 3), (5, 2), (5, 4), (6, 6)])
+    def test_one_product_per_prefix_and_last_factor(self, m, d, repeat, monkeypatch):
+        # each product of t + 1 is its product of t times one factor: no
+        # product by one, and none that no output extends
+        calls = []
+        mul = Polynomial.__mul__
+
+        def counted(a, b):
+            calls.append(b)
+            return mul(a, b)
+
+        factors = list(symbolic_matrix(1, m).rows_raw()[0])
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        vandermonde._products(symbolic_matrix(1, m).ring, factors, d, repeat)
+        g = m if repeat else m - d + 1
+        assert len(calls) == sum(comb(g + t - 1, t) for t in range(2, d + 1))
+        assert all(any(b is f for f in factors) for b in calls)
 
 
 def _inversions(seq):
