@@ -1,5 +1,5 @@
 """Immutable dense matrices over a ring, with one exact determinant kernel per
-ring kind (packed Gaussian elimination over Z/p, two-step fraction-free
+ring kind (packed Gaussian elimination over Z/p, three-step fraction-free
 Bareiss over Z, cofactor expansion over Z[x]) and Berkowitz as an oracle, and
 one expansion step by a cached plan: Laplace's walks the row sets in lex
 order (their Plücker coordinates, from their prefixes'), the symmetric plan
@@ -13,7 +13,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .errors import BadIndexError, BadRingError, ParseError, ShapeError
-from .rings import Polynomial, Ring, _show, ring_from_doc
+from .rings import ZZ, Polynomial, Ring, _show, ring_from_doc
 
 
 class ExactMatrix:
@@ -73,20 +73,24 @@ class ExactMatrix:
     def det(self):
         """Raw determinant (``ring.one`` at order 0) by the one kernel of the
         ring's kind, at every order.  Over Z/p, field elimination pays a modular
-        inverse per pivot, two-step Bareiss one per entry for every two columns
-        (13x slower at order 35, up to 3.5 us faster at orders 1 to 4); over Z,
-        Bareiss beats cofactor expansion at every order (2.2x at order 4); over
-        Z[x], it swells intermediate polynomials (6x6 symbolic: cofactor 0.07 s,
-        Bareiss 55 s).  The kernels are looked up when called, so a tracer that
-        patches the module's names sees every call."""
+        inverse per pivot, three-step Bareiss one per entry for every three
+        columns (10x slower at order 35, up to 3.5 us faster at orders 1 to 4);
+        over Z, Bareiss is no slower than cofactor expansion (3.8x faster at
+        order 2); over Z[x] it swells intermediate polynomials (6x6 symbolic:
+        cofactor 0.07 s, Bareiss 23 s), but constants take it over Z, as the
+        cost of cofactor grows with the order alone.  The kernels are looked
+        up when called, so a tracer that patches the module's names sees every call."""
         if not self.is_square:
             raise ShapeError(f"determinant of a {self.nrows}x{self.ncols} matrix")
         ring = self.ring
         if not self.nrows:
             return ring.one
-        kind = ring.name
+        kind, rows = ring.name, self._rows
+        if kind == "poly" and not any(v.total_degree() for r in rows for v in r):
+            det = _det_bareiss(ZZ, [[v.terms.get(0, 0) for v in r] for r in rows])
+            return Polynomial.constant(ring.nvars, det)
         kernel = _det_field if kind == "mod_p" else _det_bareiss if kind == "int" else _det_cofactor
-        return kernel(ring, self._rows)
+        return kernel(ring, rows)
 
     def minor(self, rows, cols):
         """Raw minor: determinant of the selected submatrix, no cofactor sign."""
@@ -269,55 +273,71 @@ def _det_cofactor(ring, rows):
 
 
 def _det_bareiss(ring, rows):
-    """Two-step fraction-free elimination (E. H. Bareiss, Math. Comp. 22,
-    1968): per entry, three products and one ``ring.exact_div`` (checked,
-    reduced) for every two columns, where one-step Bareiss takes four and two.
-    With m columns done, the block's entries are order-(m+1) minors of the
-    row-swapped input and the divisor p is its leading order-m minor.  So by
-    Sylvester's identity the pivot rows' 2 x 2 minor q, each column's 2 x 2
-    cofactors d1, d2, and e*d1 + f*d2 + q*w (a 3 x 3 minor over p) all divide
-    by p exactly.  Pivots: the first row with a nonzero lead, then the first
-    later row with a nonzero 2 x 2 minor with it; a swap flips the sign, and
-    if either is missing the two columns have rank <= 1 and the det is 0."""
-    if len(rows) == 1:
-        return rows[0][0]
-    div, rows = ring.exact_div, list(rows)
-    sign, p = 1, ring.one
-    while True:
+    """Three-step fraction-free elimination (E. H. Bareiss, Math. Comp. 22,
+    1968): per entry, four products and one ``ring.exact_div`` (checked,
+    reduced) for every three columns, where two-step takes 4.5 and 1.5.  With
+    m columns done, the block's entries are order-(m+1) minors of the
+    row-swapped input and the divisor p is its leading order-m minor, so by
+    Sylvester's identity its k x k minors divide by p^(k-1): the first two
+    pivot rows' 2 x 2 minors m.. over p, the three's 3 x 3 minor q (the next
+    p) and cofactors d0, d1, d2 on columns {1,2,j}, {0,2,j}, {0,1,j} over p^2,
+    and each entry's w*q - e0*d0 + e1*d1 - e2*d2 over p^3.  Pivots: the first
+    row with a nonzero lead, then the first later ones with a nonzero m01 and
+    q; a swap flips the sign, and if one is missing the columns have rank <= 2
+    and the det is 0.  A block of 1 to 3 rows needs no pivot: its det is its
+    lead, m01 or q."""
+    div, sign, p = ring.exact_div, 1, ring.one
+    while len(rows) > 3:
         # rows holds the block left, its first column at index 0
-        for i, top in enumerate(rows):
-            if top[0]:
+        rows = list(rows)
+        for i, r0 in enumerate(rows):
+            if r0[0]:
                 break
         else:
             return ring.zero
         if i:
-            rows[i], rows[0], sign = rows[0], top, -sign
-        a, b = top[0], top[1]
-        for i in range(1, len(rows)):
-            second = rows[i]
-            c, d = second[0], second[1]
-            q = div(a * d - b * c, p)
-            if q:
+            rows[i], rows[0], sign = rows[0], r0, -sign
+        a0, a1, a2 = r0[0], r0[1], r0[2]
+        for i, r1 in enumerate(rows[1:], 1):
+            m01 = div(a0 * r1[1] - a1 * r1[0], p)
+            if m01:
                 break
         else:
             return ring.zero
         if i > 1:
-            rows[i], rows[1], sign = rows[1], second, -sign
-        if len(rows) < 4:
-            break
-        d1, d2, block = [], [], []
-        for x, y in zip(top[2:], second[2:]):
-            d1.append(div(b * y - d * x, p))
-            d2.append(div(c * x - a * y, p))
-        for r in rows[2:]:
-            e, f = r[0], r[1]
-            block.append([div(e * u + f * v + q * w, p) for u, v, w in zip(d1, d2, r[2:])])
+            rows[i], rows[1], sign = rows[1], r1, -sign
+        b0, b1, b2 = r1[0], r1[1], r1[2]
+        m02, m12 = div(a0 * b2 - a2 * b0, p), div(a1 * b2 - a2 * b1, p)
+        for i, r2 in enumerate(rows[2:], 2):
+            q = div(r2[0] * m12 - r2[1] * m02 + r2[2] * m01, p)
+            if q:
+                break
+        else:
+            return ring.zero
+        if i > 2:
+            rows[i], rows[2], sign = rows[2], r2, -sign
+        c0, c1, c2 = r2[0], r2[1], r2[2]
+        d0, d1, d2, block = [], [], [], []
+        for x, y, z in zip(r0[3:], r1[3:], r2[3:]):
+            m0, m1, m2 = div(a0 * y - x * b0, p), div(a1 * y - x * b1, p), div(a2 * y - x * b2, p)
+            d0.append(div(c1 * m2 - c2 * m1 + z * m12, p))
+            d1.append(div(c0 * m2 - c2 * m0 + z * m02, p))
+            d2.append(div(c0 * m1 - c1 * m0 + z * m01, p))
+        for r in rows[3:]:
+            e0, e1, e2 = r[0], r[1], r[2]
+            block.append([div(w * q - e0 * f + e1 * g - e2 * h, p)
+                          for f, g, h, w in zip(d0, d1, d2, r[3:])])
         rows, p = block, q
-    if len(rows) == 3:
-        # the last entry, built without one-element lists
-        (e, f, w), x, y = rows[2], top[2], second[2]
-        q = div(e * div(b * y - d * x, p) + f * div(c * x - a * y, p) + q * w, p)
-    return q if sign > 0 else ring.reduce(-q)
+    if len(rows) == 1:
+        det = rows[0][0]
+    elif len(rows) == 2:
+        (a0, a1), (b0, b1) = rows
+        det = div(a0 * b1 - a1 * b0, p)
+    else:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+        det = div(c0 * div(a1 * b2 - a2 * b1, p) - c1 * div(a0 * b2 - a2 * b0, p)
+                  + c2 * div(a0 * b1 - a1 * b0, p), p)
+    return det if sign > 0 else ring.reduce(-det)
 
 
 def _det_field(ring, rows):

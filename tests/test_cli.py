@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from mvvand.cli import cli, main
 from mvvand.errors import BadRingError, ShapeError
-from mvvand.matrix import ExactMatrix, dumps_doc
+from mvvand.matrix import ExactMatrix, dumps_doc, seeded_rng
 from mvvand.rings import ZZ
 
 WORKED_DOC = {"ring": "int", "rows": [["1", "0"], ["0", "1"], ["1", "1"]]}
@@ -711,6 +711,23 @@ class TestMain:
         code, out, err = call_main(["verify", "nope"])
         assert code == click.UsageError.exit_code == 2
         assert out == "" and "Usage:" in err and not err.startswith("error:")
+
+    @pytest.mark.parametrize("nrows,ncols", [(4, 3), (7, 6)])
+    def test_constant_poly_file_verifies_as_its_int_file(self, call_main, tmp_path, nrows, ncols):
+        # a poly matrix of constants takes Bareiss over Z: the 7x6 file's
+        # order-21 Veronese determinant by cofactor expansion ran past 20 s
+        rng = seeded_rng("constant-poly", nrows, ncols)
+        rows = [[str(rng.randint(-9, 9)) for _ in range(ncols)] for _ in range(nrows)]
+        docs = []
+        for ring in ({"ring": "int"}, {"ring": "poly", "variables": ["x", "y"]}):
+            path = _write(tmp_path, "in.json", {**ring, "rows": rows})
+            code, out, err = call_main(["verify", "hdv", "--input", path])
+            assert (code, err) == (0, "")
+            docs.append(json.loads(out))
+        ints, polys = docs
+        assert ints["verdict"] == "equal" and ints["lhs"] != "0"
+        assert (ints.pop("ring"), polys.pop("ring")) == ("int", "poly(x,y)")
+        assert ints == polys
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer text"

@@ -106,19 +106,22 @@ class TestDeterminant:
             assert M(rows).det() == 0
 
     def test_zero_pivot_column_short_circuit(self):
-        A = M([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
-        assert det_by(_det_bareiss, A) == 0
+        # order 3 is an end of Bareiss, with no pivot search; order 4 searches
+        three = [[0, 1, 2], [0, 3, 4], [0, 5, 6]]
+        four = [[0, 1, 2, 3], [0, 3, 4, 5], [0, 5, 6, 8], [0, 7, 9, 1]]
+        for rows in (three, four):
+            assert det_by(_det_bareiss, M(rows)) == 0
 
 
 X1 = PolynomialRing(["x"])
-TWO_STEP_RINGS = [ZZ, PrimeField(1_000_003), X1]
+BAREISS_RINGS = [ZZ, PrimeField(1_000_003), X1]
 
 
 def _block_triangular(ring, n, k, rng, shape_c):
     """Order-n rows [[A, B], [0, C]] with A a nonsingular k x k block, so the
-    block left after k columns (k even) is +-det(A) * C, pivots never come
-    from C's rows before then, and ``shape_c``, which rewrites C's rows in
-    place, sets the case the stage after k meets."""
+    block left after k columns (k a multiple of 3) is +-det(A) * C, pivots
+    never come from C's rows before then, and ``shape_c``, which rewrites C's
+    rows in place, sets the case the stage after k meets."""
     def row(width):
         return [ring.random_entry(rng) for _ in range(width)]
 
@@ -141,15 +144,53 @@ def _second_pivot_swap(ring, C, rng):
     C[2][0], C[2][1] = C[0][0], ring.reduce(C[0][1] + ring.one)
 
 
+def _third_pivot_swap(ring, C, rng):
+    # rows 0 and 1 with a nonzero 2 x 2 determinant, row 2 a combination of
+    # them in the block's first three columns, and row 3 left random
+    C[1][0], C[1][1] = C[0][0], ring.reduce(C[0][1] + ring.one)
+    lam, mu = ring.random_entry(rng), ring.random_entry(rng)
+    for j in range(3):
+        C[2][j] = ring.reduce(lam * C[0][j] + mu * C[1][j])
+
+
+def _zero_first_column(ring, C, rng):
+    for r in C:
+        r[0] = ring.zero
+
+
 def _rank_one_columns(ring, C, rng):
     lam = ring.random_entry(rng) or ring.one
     for r in C:
         r[1] = ring.reduce(lam * r[0])
 
 
+def _rank_two_columns(ring, C, rng):
+    lam, mu = ring.random_entry(rng), ring.random_entry(rng)
+    for r in C:
+        r[2] = ring.reduce(lam * r[0] + mu * r[1])
+
+
 def _zero_second_column(ring, C, rng):
     for r in C:
         r[1] = ring.zero
+
+
+@st.composite
+def planted_stage(draw):
+    """Integer rows [[A, B], [0, C]] with A of order k = 3s, so the block
+    left after s stages is +-det(A) * C, and C's first three columns
+    dependent on a drawn set of C's rows: the pivots of stage s meet it."""
+    n = draw(st.integers(3, 11))
+    k = 3 * draw(st.integers(0, (n - 3) // 3))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    lam, mu = draw(entry), draw(entry)
+    planted = draw(st.sets(st.integers(k, n - 1), min_size=1))
+    for i in range(k, n):
+        rows[i][:k] = [0] * k
+        if i in planted:
+            rows[i][k + 2] = lam * rows[i][k] + mu * rows[i][k + 1]
+    return rows
 
 
 class _OffByOneDivisor:
@@ -168,22 +209,34 @@ class _OffByOneDivisor:
 
 
 class TestTwoStepBareiss:
-    # each branch of the two-step kernel, at stage 0 and at its last stage,
-    # against Berkowitz and cofactor expansion; C of 2 or 3 rows at the last
-    # stage reaches the 2 x 2 and the 1 x 1 end
-    @pytest.mark.parametrize("ring", TWO_STEP_RINGS, ids=["int", "mod_p", "poly"])
+    # the three-step Bareiss kernel (the class keeps its name so that its
+    # test ids stay stable).  Each branch, at stage 0 and at its last stage,
+    # against Berkowitz and cofactor expansion; C of min_rows to min_rows + 2
+    # rows at the last stage ends in a block of 1, 2 or 3 rows (after a
+    # pivoted stage from 4 rows on)
+    @pytest.mark.parametrize("ring", BAREISS_RINGS, ids=["int", "mod_p", "poly"])
     @pytest.mark.parametrize(
         "shape_c,min_rows,zero",
         [
-            (_second_pivot_swap, 3, False),
+            (_second_pivot_swap, 4, False),
+            (_third_pivot_swap, 4, False),
+            (_zero_first_column, 2, True),
             (_rank_one_columns, 2, True),
+            (_rank_two_columns, 3, True),
             (_zero_second_column, 2, True),
         ],
-        ids=["second-pivot-swap", "rank-one-columns", "zero-second-column"],
+        ids=[
+            "second-pivot-swap",
+            "third-pivot-swap",
+            "zero-first-column",
+            "rank-one-columns",
+            "rank-two-columns",
+            "zero-second-column",
+        ],
     )
     def test_branch_matches_oracles(self, ring, shape_c, min_rows, zero):
         for n in range(min_rows, 13):
-            last = (n - min_rows) // 2 * 2
+            last = (n - min_rows) // 3 * 3
             for k in sorted({0, last}):
                 rng = seeded_rng("two-step", shape_c.__name__, ring.describe(), n, k)
                 A = ExactMatrix(ring, _block_triangular(ring, n, k, rng, shape_c))
@@ -192,7 +245,12 @@ class TestTwoStepBareiss:
                 assert det_by(_det_bareiss, A) == expected
                 assert (expected == ring.zero) == zero
 
-    @pytest.mark.parametrize("ring", TWO_STEP_RINGS, ids=["int", "mod_p", "poly"])
+    @settings(max_examples=300, deadline=None)
+    @given(planted_stage())
+    def test_planted_stage_matches_berkowitz(self, rows):
+        assert _det_bareiss(ZZ, rows) == _det_berkowitz(ZZ, rows)
+
+    @pytest.mark.parametrize("ring", BAREISS_RINGS, ids=["int", "mod_p", "poly"])
     def test_random_orders_match_oracles(self, ring):
         for n in range(1, 13):
             for t in range(3):
@@ -203,9 +261,10 @@ class TestTwoStepBareiss:
 
     @pytest.mark.parametrize("ring", [ZZ, X1], ids=["int", "poly"])
     def test_corrupted_divisor_is_inexact(self, ring):
-        # orders 4 and up divide by the first stage's q; p + 1 leaves a
-        # remainder, which exact_div reports instead of truncating
-        for n in range(4, 13):
+        # order 4 ends in one row after the first stage, so it divides only
+        # by one; orders 5 and up divide by the first stage's q, and p + 1
+        # leaves a remainder, which exact_div reports instead of truncating
+        for n in range(5, 13):
             rows = random_matrix(ring, n, n, seeded_rng("corrupt", n)).rows_raw()
             assert _det_bareiss(ring, rows) == _det_berkowitz(ring, rows)
             with pytest.raises(InexactDivisionError):
@@ -253,6 +312,24 @@ class TestDeterminantRule:
             assert A.det() == det_by(_det_berkowitz, A)
         assert ExactMatrix(ring, []).det() == ring.one
         assert calls == [kernel] * 6
+
+    def test_poly_constants_take_bareiss_over_z(self, monkeypatch):
+        # cofactor expansion's cost grows with the order whatever the
+        # entries; one entry of positive degree keeps the matrix on it
+        calls = []
+        for name in KERNELS:
+            def counting(r, rows, name=name, fn=getattr(matrix, name)):
+                calls.append((name, r))
+                return fn(r, rows)
+
+            monkeypatch.setattr(matrix, name, counting)
+        for order in range(1, 7):
+            ints = random_matrix(ZZ, order, order, seeded_rng("constants", order)).rows_raw()
+            rows = [[Polynomial.constant(3, v) for v in r] for r in ints]
+            assert ExactMatrix(XYZ, rows).det() == Polynomial.constant(3, _det_berkowitz(ZZ, ints))
+            rows[-1][-1] = Polynomial.variable(3, 2)
+            assert ExactMatrix(XYZ, rows).det() == _det_berkowitz(XYZ, rows)
+        assert calls == [("_det_bareiss", ZZ), ("_det_cofactor", XYZ)] * 6
 
     @pytest.mark.parametrize(
         "kernel",
