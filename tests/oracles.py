@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 from mvvand import vandermonde
 from mvvand.errors import RingMismatchError
-from mvvand.matrix import ExactMatrix, _det_bareiss
+from mvvand.matrix import ExactMatrix, _det_bareiss, _det_berkowitz
 from mvvand.rings import ZZ, Polynomial, PolynomialRing, RingElement, _EXP_BITS
 
 
@@ -81,6 +81,34 @@ def det_mod_p(A: ExactMatrix) -> int:
     """Raw determinant of a matrix over Z/p: Bareiss over Z on the integer
     representatives, reduced mod p afterwards."""
     return det_by(_det_bareiss, ExactMatrix(ZZ, A.rows_raw())) % A.ring.modulus
+
+
+def pairing_by_blocks(X: ExactMatrix, mutate=list) -> ExactMatrix:
+    """Pairing matrix of an (n+d) x (n+1) matrix X by its definition: entry
+    (s, s') is the product over j in s' of block j of s, the determinant by
+    Berkowitz of row j of X over the rows outside s in increasing order, one
+    ``ExactMatrix`` per block, reduced after every product.  ``mutate`` maps
+    the rows of the first row choice's block for its first row before the
+    determinant."""
+    ring, raw, m = X.ring, X.rows_raw(), X.nrows
+    subsets = list(combinations(range(m), m - X.ncols + 1))
+    rows = []
+    for s in subsets:
+        outside = [raw[i] for i in range(m) if i not in s]
+        block = []
+        for j in range(m):
+            rows_j = [raw[j]] + outside
+            if s == subsets[0] and s[:1] == (j,):
+                rows_j = mutate(rows_j)
+            block.append(det_by(_det_berkowitz, ExactMatrix(ring, rows_j)))
+        row = []
+        for s_prime in subsets:
+            entry = ring.one
+            for j in s_prime:
+                entry = ring.reduce(entry * block[j])
+            row.append(entry)
+        rows.append(row)
+    return ExactMatrix(ring, rows)
 
 
 def poly_eval(p: Polynomial, point, target):

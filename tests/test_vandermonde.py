@@ -38,6 +38,7 @@ from oracles import (
     lemma_matrices,
     matmul,
     minor_product_lex,
+    pairing_by_blocks,
     submatrix,
     sym_power_by_tuples,
 )
@@ -440,7 +441,18 @@ class TestLinearFormExpansion:
         assert calls == sum(comb(3 + L - 1, L) * step(3, L) for L in range(2, 4))
 
 
-PAIRING_CASES = [(ring, n, d) for ring in (ZZ, PrimeField(7)) for n, d in ((1, 2), (2, 2), (2, 3))]
+# n*d is odd at (1, 1), (1, 3) and (3, 1): there row j placed last in each
+# block flips every entry but not det P, as C(n+d, d) is even
+PAIRING_CASES = [
+    (ring, n, d)
+    for rings, shapes in (
+        ((ZZ, PrimeField(7)), ((1, 2), (2, 2), (2, 3))),
+        ((ZZ, PrimeField(7), PrimeField(2), XY), ((1, 1), (1, 3), (3, 1), (2, 0))),
+        ((PrimeField(2), XY), ((1, 2), (2, 2), (2, 3))),
+    )
+    for ring in rings
+    for n, d in shapes
+]
 
 
 class TestPairing:
@@ -451,20 +463,7 @@ class TestPairing:
     @pytest.mark.parametrize("ring,n,d", PAIRING_CASES)
     def test_entries_match_definition(self, ring, n, d):
         X = random_matrix(ring, n + d, n + 1, seeded_rng("pairdef", n, d))
-        raw = X.rows_raw()
-        subsets = list(combinations(range(n + d), d))
-        expect = []
-        for s in subsets:
-            outside = [raw[i] for i in range(n + d) if i not in s]
-            row = []
-            for s_prime in subsets:
-                entry = ring.one
-                for j in s_prime:
-                    block = ExactMatrix(ring, [raw[j]] + outside)
-                    entry = ring.reduce(entry * det_by(_det_berkowitz, block))
-                row.append(entry)
-            expect.append(row)
-        assert pairing_matrix(X) == ExactMatrix(ring, expect)
+        assert pairing_matrix(X) == pairing_by_blocks(X)
 
     @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (2, 3)])
     def test_one_det_per_block(self, n, d, monkeypatch):
@@ -1042,29 +1041,6 @@ def test_det_minor_and_mu_prime_return_raw_values(ring):
     assert values[0] == X.minor((1, 2), (0, 1)) == det_by(_det_berkowitz, square)
 
 
-def _pairing_with_block(mutate):
-    """pairing_matrix as defined, except that the block of the first row
-    choice s and its first row j passes through ``mutate`` before its det."""
-
-    def build(X):
-        n, d = X.ncols - 1, X.nrows - X.ncols + 1
-        ring, raw = X.ring, X.rows_raw()
-        subsets = list(combinations(range(n + d), d))
-        rows = []
-        for s in subsets:
-            outside = [raw[i] for i in range(n + d) if i not in s]
-            block = []
-            for j in range(n + d):
-                rows_j = [raw[j]] + outside
-                if s == subsets[0] and j == s[0]:
-                    rows_j = mutate(rows_j)
-                block.append(ExactMatrix(ring, rows_j).det())
-            rows.append([prod((block[j] for j in t), start=ring.one) for t in subsets])
-        return ExactMatrix(ring, rows)
-
-    return build
-
-
 class TestPairingSignMutations:
     """A fault that flips the sign of one pairing block flips det P; the
     pinned sign turns it into "unequal" where up-to-sign would pass it."""
@@ -1072,7 +1048,7 @@ class TestPairingSignMutations:
     X = random_matrix(ZZ, 5, 3, seeded_rng("pairmut"))  # n = 2, d = 3
 
     def test_unmutated_definition_passes(self, monkeypatch):
-        monkeypatch.setattr(vandermonde, "pairing_matrix", _pairing_with_block(list))
+        monkeypatch.setattr(vandermonde, "pairing_matrix", pairing_by_blocks)
         assert verify_pairing(self.X).ok
 
     @pytest.mark.parametrize(
@@ -1084,7 +1060,7 @@ class TestPairingSignMutations:
         ],
     )
     def test_sign_fault_is_unequal(self, mutate, monkeypatch):
-        monkeypatch.setattr(vandermonde, "pairing_matrix", _pairing_with_block(mutate))
+        monkeypatch.setattr(vandermonde, "pairing_matrix", lambda X: pairing_by_blocks(X, mutate))
         report = verify_pairing(self.X)
         assert report.lhs.value == -report.rhs.value and report.lhs.value != 0
         assert report.verdict == "unequal" and report.sign is None
