@@ -1,6 +1,7 @@
 """Immutable dense matrices over a ring, with one exact determinant kernel per
 ring kind (packed Gaussian elimination over Z/p, three-step fraction-free
-Bareiss over Z, cofactor expansion over Z[x]) and Berkowitz as an oracle, and
+Bareiss over Z, cofactor expansion over Z[x], its last variable packed into
+the coefficients when that pays) and Berkowitz as an oracle, and
 one expansion step by a cached plan: Laplace's walks the row sets in lex
 order (their Plücker coordinates, from their prefixes'), the symmetric plan
 multiplies a form's coefficient vector by a linear form.
@@ -10,10 +11,11 @@ from __future__ import annotations
 import json
 from functools import cache
 from itertools import combinations
+from math import prod
 from pathlib import Path
 
-from .errors import BadIndexError, BadRingError, ParseError, ShapeError
-from .rings import ZZ, Polynomial, Ring, _show, ring_from_doc
+from .errors import BadIndexError, BadRingError, ExponentOverflowError, ParseError, ShapeError
+from .rings import _EXP_BITS, _EXP_LIMIT, ZZ, Polynomial, Ring, _show, ring_from_doc
 
 
 class ExactMatrix:
@@ -77,20 +79,19 @@ class ExactMatrix:
         columns (10x slower at order 35, up to 3.5 us faster at orders 1 to 4);
         over Z, Bareiss is no slower than cofactor expansion (3.8x faster at
         order 2); over Z[x] it swells intermediate polynomials (6x6 symbolic:
-        cofactor 0.07 s, Bareiss 23 s), but constants take it over Z, as the
-        cost of cofactor grows with the order alone.  The kernels are looked
-        up when called, so a tracer that patches the module's names sees every call."""
+        cofactor 0.07 s, Bareiss 23 s), so :func:`_det_packed` expands by
+        cofactors, with the last variable packed where that pays (6x6 Veronese
+        of linear forms: 0.65 s unpacked, 0.1 s packed).  The kernels are
+        looked up when called, so a tracer that patches the module's names
+        sees every call."""
         if not self.is_square:
             raise ShapeError(f"determinant of a {self.nrows}x{self.ncols} matrix")
         ring = self.ring
         if not self.nrows:
             return ring.one
-        kind, rows = ring.name, self._rows
-        if kind == "poly" and not any(v.total_degree() for r in rows for v in r):
-            det = _det_bareiss(ZZ, [[v.terms.get(0, 0) for v in r] for r in rows])
-            return Polynomial.constant(ring.nvars, det)
-        kernel = _det_field if kind == "mod_p" else _det_bareiss if kind == "int" else _det_cofactor
-        return kernel(ring, rows)
+        kind = ring.name
+        kernel = _det_field if kind == "mod_p" else _det_bareiss if kind == "int" else _det_packed
+        return kernel(ring, self._rows)
 
     def minor(self, rows, cols):
         """Raw minor: determinant of the selected submatrix, no cofactor sign."""
@@ -270,6 +271,64 @@ def _det_cofactor(ring, rows):
     all rows; unpacking ends the walk (closing it suspended cost 0.1 us)."""
     [(det,)] = _minor_walk(ring, rows, len(rows))
     return det
+
+
+def _det_packed(ring, rows):
+    """Cofactor expansion over Z[x], with the last variable t packed into the
+    coefficients (t = 2^B, Kronecker substitution) when that at least halves
+    the terms and fills half the digit slots, or the entries are constants;
+    with no other variable left, the packed det is Bareiss over Z.  Each det
+    coefficient is at most the product over rows of the entries' summed
+    1-norms, below 2^(B-1) for B in whole bytes, so the det's coefficients
+    are exactly the balanced base-2^B digits of its packed integers."""
+    nvars, mask = ring.nvars, _EXP_LIMIT - 1
+    # the key of t: its exponent field, and the degree field above the rest
+    top = _EXP_BITS * nvars
+    unit = 1 | 1 << top
+    bound = prod(sum(abs(c) for v in r for c in v.terms.values()) for r in rows)
+    if not bound:
+        return ring.zero
+    w = bound.bit_length() // 8 + 1
+    B = 8 * w
+
+    def pack(v):
+        p = {}
+        for key, c in v.terms.items():
+            e = key & mask
+            p[key - e * unit] = p.get(key - e * unit, 0) + (c << B * e)
+        return Polynomial(nvars, p)
+
+    packed = [[pack(v) for v in r] for r in rows]
+    terms = sum(len(v.terms) for r in rows for v in r)
+    # with every digit below 2^(B-1) an integer's top B bits hold its top
+    # digit, so bit_length // B + 1 counts its slots
+    ints = [x for r in packed for v in r for x in v.terms.values()]
+    slots = sum(x.bit_length() // B + 1 for x in ints)
+    flat = not any(key for r in packed for v in r for key in v.terms)
+    constants = flat and slots == len(ints)
+    if (2 * len(ints) > terms or slots > 2 * terms) and not constants:
+        return _det_cofactor(ring, rows)
+    if flat:
+        det = _det_bareiss(ZZ, [[v.terms.get(0, 0) for v in r] for r in packed])
+        det = Polynomial.constant(nvars, det)
+    else:
+        det = _det_cofactor(ring, packed)
+    half, out = 1 << B - 1, {}
+    for key, x in det.terms.items():
+        size = x.bit_length() // B + 1
+        degree = (key >> top) + size - 1
+        if degree >= _EXP_LIMIT:
+            raise ExponentOverflowError(f"total degree {degree} exceeds {_EXP_LIMIT - 1}")
+        raw, borrow = x.to_bytes(size * w, "little", signed=True), 0
+        for e in range(size):
+            # an unsigned digit from half up stands for itself less 2^B,
+            # which the next digit takes back as one
+            c = int.from_bytes(raw[e * w:e * w + w], "little") + borrow
+            borrow = c >= half
+            c -= borrow << B
+            if c:
+                out[key + e * unit] = c
+    return Polynomial(nvars, out)
 
 
 def _det_bareiss(ring, rows):

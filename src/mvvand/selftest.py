@@ -199,9 +199,11 @@ def naive_failure(quick: bool = False):
 @_criterion("det-oracles")
 def det_oracles(quick: bool = False):
     """det() = cofactor = berkowitz = bareiss over Z, over Z[x,y,z] with
-    degree-1 entries and over Z/p, all orders up to 6; over Z/p at orders
-    10, 20 and 35, det() = Bareiss over Z on the representatives, mod p."""
-    trials, large_trials = (10, 1) if quick else (200, 5)
+    degree-1 entries and over Z/p, all orders up to 6; det() = cofactor =
+    berkowitz over Z[x,y] on entries with all six monomials of degree <= 2,
+    which det() packs, orders 2 to 6; over Z/p at orders 10, 20 and 35,
+    det() = Bareiss over Z on the representatives, mod p."""
+    trials, dense_trials, large_trials = (10, 2, 1) if quick else (200, 20, 5)
     pr = PolynomialRing(["x", "y", "z"])
     fp = PrimeField(DEFAULT_PRIME)
     ok = True
@@ -212,12 +214,21 @@ def det_oracles(quick: bool = False):
                 rows, a = M.rows_raw(), M.det()
                 ok &= a == _det_cofactor(ring, rows) == _det_berkowitz(ring, rows)
                 ok &= a == _det_bareiss(ring, rows)
+    xy, monomials = PolynomialRing(["x", "y"]), [(i, j) for i in range(3) for j in range(3 - i)]
+    for order in range(2, 7):
+        for t in range(dense_trials):
+            rng = seeded_rng("det", "dense", order, t)
+            rows = [[Polynomial.from_terms(2, [(e, rng.choice((-1, 1)) * rng.randint(1, 9))
+                                               for e in monomials]) for _ in range(order)]
+                    for _ in range(order)]
+            ok &= ExactMatrix(xy, rows).det() == _det_cofactor(xy, rows) == _det_berkowitz(xy, rows)
     for order in (10, 20, 35):
         for t in range(large_trials):
             M = random_matrix(fp, order, order, seeded_rng("det", "modp", order, t))
             ok &= M.det() == _det_bareiss(ZZ, M.rows_raw()) % fp.modulus
+    dense = f"packed Z[x,y] degree 2 orders 2..6 x {dense_trials}"
     large = f"Z/p orders 10, 20, 35 x {large_trials} against Bareiss over Z mod p"
-    return ok, f"orders 1..6 x {trials} trials x 3 rings; {large}"
+    return ok, f"orders 1..6 x {trials} trials x 3 rings; {dense}; {large}"
 
 
 @_criterion("genpos-agreement")

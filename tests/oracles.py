@@ -227,3 +227,22 @@ def sym_power_by_tuples(u: ExactMatrix, basis) -> ExactMatrix:
         coeffs = expand_linear_forms(ring, forms, m)
         columns.append([coeffs.get(e2, ring.zero) for e2 in basis])
     return ExactMatrix(ring, [list(r) for r in zip(*columns)])
+
+
+def packing_pays(A: ExactMatrix) -> bool:
+    """The rule by which ``det()`` over Z[x] packs the last variable into the
+    coefficients, restated on exponent vectors: group each entry's terms by
+    their exponents in the other variables; it packs when the groups are at
+    most half as many as the terms and their digit slots (one more than the
+    group's largest last exponent, summed) at most twice as many, or when
+    every entry is a constant."""
+    terms, tops = 0, []
+    for v in (v for r in A.rows_raw() for v in r):
+        groups = {}
+        for exps, _ in items_exponents(v):
+            terms += 1
+            groups[exps[:-1]] = max(groups.get(exps[:-1], 0), exps[-1])
+        tops.extend(groups.values())
+    slots = len(tops) + sum(tops)
+    constants = not any(v.total_degree() for r in A.rows_raw() for v in r)
+    return constants or 2 * len(tops) <= terms and slots <= 2 * terms

@@ -809,6 +809,17 @@ class TestMain:
                 "exponent-overflow",
                 id="total-degree-past-limit",
             ),
+            # the packed Veronese determinant x^65534 * (y + y^2) passes the
+            # packed degree limit only by the last variable's digits
+            pytest.param(
+                ["verify", "hdv"],
+                {"ring": "poly", "variables": ["x", "y"], "rows": [
+                    ["x^32767 + x^32767*y", "x^32767 + x^32767*y"],
+                    ["x^32767 + x^32767*y", "x^32767 + 2*x^32767*y"],
+                ]},
+                "exponent-overflow",
+                id="packed-det-past-limit",
+            ),
             pytest.param(
                 ["mu"], {"ring": "poly", "variables": ["1x"], "rows": [["1"]]}, "bad-ring",
                 id="poly-variable-not-a-name",

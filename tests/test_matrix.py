@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from mvvand.errors import (
     BadIndexError,
     BadRingError,
+    ExponentOverflowError,
     InexactDivisionError,
     ParseError,
     ShapeError,
@@ -39,7 +40,15 @@ from mvvand.vandermonde import (
     symbolic_matrix,
     veronese_matrix,
 )
-from oracles import det_by, det_mod_p, exponent_vectors, identity, lemma_matrices, submatrix
+from oracles import (
+    det_by,
+    det_mod_p,
+    exponent_vectors,
+    identity,
+    lemma_matrices,
+    packing_pays,
+    submatrix,
+)
 
 XYZ = PolynomialRing(["x", "y", "z"])
 XY = PolynomialRing(["x", "y"])
@@ -342,6 +351,156 @@ class TestDeterminantRule:
         before = [list(r) for r in rows]
         assert kernel(FP, rows) == FP.reduce(-5)
         assert rows == before
+
+
+def _spy_routes(mp):
+    """Wrap the kernels det() reaches over Z[x]; the returned list gets one
+    (kernel name, rows) pair per call."""
+    calls = []
+    for name in ("_det_cofactor", "_det_bareiss"):
+        def spy(ring, rows, name=name, fn=getattr(matrix, name)):
+            calls.append((name, rows))
+            return fn(ring, rows)
+
+        mp.setattr(matrix, name, spy)
+    return calls
+
+
+def _route(A, calls):
+    """"walk" when det() expanded A's own rows, "packed" when its one kernel
+    call got packed rows, "none" when it called no kernel (a zero row)."""
+    if not calls:
+        return "none"
+    [(_, rows)] = calls
+    return "walk" if rows is A.rows_raw() else "packed"
+
+
+BIG = 2 ** 100
+
+
+@st.composite
+def dense_poly_matrix(draw):
+    """A square matrix of order 1 to 6 over Z[x], Z[x, y] or Z[x, y, z]
+    whose entries carry every monomial of degree <= deg (deg <= 3), with
+    coefficients in [-9, 9] or within 9 of 2^100 or -2^100; sometimes with
+    a zero row, sometimes with a repeated row."""
+    ring = draw(st.sampled_from([X1, XY, XYZ]))
+    k, deg, order = ring.nvars, draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    monos = [e for j in range(deg + 1) for e in exponent_vectors(k, j)]
+    coeff = st.integers(-9, 9) | st.integers(BIG - 9, BIG + 9) | st.integers(-BIG - 9, -BIG + 9)
+    entry = st.lists(coeff, min_size=len(monos), max_size=len(monos)).map(
+        lambda cs: Polynomial.from_terms(k, zip(monos, cs))
+    )
+    row = st.lists(entry, min_size=order, max_size=order)
+    rows = draw(st.lists(row, min_size=order, max_size=order))
+    if not draw(st.integers(0, 3)):
+        rows[draw(st.integers(0, order - 1))] = [ring.zero] * order
+    if order >= 2 and not draw(st.integers(0, 3)):
+        i, j = draw(st.lists(st.integers(0, order - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = rows[i]
+    return ExactMatrix(ring, rows)
+
+
+T3 = PolynomialRing(["t0", "t1", "t2"])
+
+
+def _linear_forms(rng, nrows, ncols):
+    """Random linear forms over Z[t0, t1, t2] with all four coefficients
+    nonzero, in [-9, 9]."""
+    units = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return ExactMatrix(T3, [
+        [Polynomial.from_terms(3, [(e, rng.choice((-1, 1)) * rng.randint(1, 9)) for e in units])
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ])
+
+
+class TestPackedDeterminant:
+    """Over Z[x], det() substitutes 2^B for the last variable when that
+    at least halves the terms and fills half the digit slots."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_poly_matrix())
+    @example(M([["1 + x", "x"], ["2", "3 - x"]], X1))
+    @example(M([["x + y + 1", "x"], ["y", "x - y"]], XY))
+    @example(M([[f"{BIG}*x^2*y - x*y^2 + y^2 - 1 + x + y", "x^2 + y^2"], ["x*y", "1 - y^2"]], XY))
+    @example(M([[BIG, 3], [-BIG, 0]], XYZ))
+    def test_matches_berkowitz_on_the_route_of_the_rule(self, A):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_routes(mp)
+            det = A.det()
+        assert det == _det_berkowitz(A.ring, A.rows_raw())
+        if any(not any(r) for r in A.rows_raw()):
+            assert _route(A, calls) == "none"
+        else:
+            assert _route(A, calls) == ("packed" if packing_pays(A) else "walk")
+
+    def test_formal_matrices_stay_on_the_walk(self, monkeypatch):
+        calls = _spy_routes(monkeypatch)
+        for A in (symbolic_matrix(4, 4), veronese_matrix(mu_matrix(symbolic_matrix(4, 3)), 2)):
+            calls.clear()
+            A.det()
+            assert _route(A, calls) == "walk"
+
+    def test_sparse_one_variable_matrix_stays_on_the_walk(self, monkeypatch):
+        # two terms of degree up to 3000 per entry: packed, each integer would
+        # hold up to 3001 digit slots for its two nonzero digits
+        rng = seeded_rng("sparse", 6)
+        rows = [
+            [Polynomial.from_terms(1, [((rng.randint(0, 3000),), rng.randint(1, 9)),
+                                       ((rng.randint(0, 3000),), -rng.randint(1, 9))])
+             for _ in range(6)]
+            for _ in range(6)
+        ]
+        A = ExactMatrix(X1, rows)
+        calls = _spy_routes(monkeypatch)
+        A.det()
+        assert _route(A, calls) == "walk"
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 1), (4, 1), (1, 4)])
+    def test_veronese_matrices_of_linear_forms_pack(self, n, d, monkeypatch):
+        # dense entries of degree n*d in three variables: packing t2 takes
+        # 2.0 to 2.33 terms into each.  A zero coefficient thins them: some
+        # (3,1) matrices of forms drawn from [-9, 9] measure 1.98
+        X = _linear_forms(seeded_rng("linear", n, d), n + d, n + 1)
+        V = veronese_matrix(mu_matrix(X), d)
+        calls = _spy_routes(monkeypatch)
+        det = V.det()
+        assert _route(V, calls) == "packed"
+        assert det == mu_prime(X) ** n
+
+    @pytest.mark.parametrize(
+        "rows,ring,expected",
+        [
+            # a coefficient equal to the bound 255, whose bit length is a
+            # whole byte: 2^(B-1) > 255 needs a second byte
+            ([[0, 255], [-1, 0]], X1, "255"),
+            ([[255, 0], [0, -1]], XY, "-255"),
+            # 200 of a bound of 201, by a packed digit
+            ([["200 + x"]], X1, "x + 200"),
+            ([["-200 - x"]], X1, "-x - 200"),
+            ([["200*x*y + x"]], XY, "200*x*y + x"),
+        ],
+    )
+    def test_coefficients_at_the_bound(self, rows, ring, expected, monkeypatch):
+        A = M(rows, ring)
+        calls = _spy_routes(monkeypatch)
+        assert ring.format(A.det()) == expected
+        assert _route(A, calls) == "packed"
+
+    def test_degree_past_the_limit_raises(self):
+        # x^32767 * (1 + y) and x^32767 * (1 + 2y): the det is
+        # x^65534 * (y + y^2), of total degree 65,536, while the packed
+        # entries stay of degree 32,767 in x
+        a, b = (XY.parse(f"x^32767 + {c}*x^32767*y") for c in (1, 2))
+        rows = [[a, a], [a, b]]
+        A = ExactMatrix(XY, rows)
+        assert packing_pays(A)
+        with pytest.raises(ExponentOverflowError):
+            A.det()
+        # as the walk does
+        with pytest.raises(ExponentOverflowError):
+            _det_cofactor(XY, rows)
 
 
 @st.composite
