@@ -14,8 +14,9 @@ from itertools import combinations
 from math import prod
 from pathlib import Path
 
-from .errors import BadIndexError, BadRingError, ExponentOverflowError, ParseError, ShapeError
-from .rings import _EXP_BITS, _EXP_LIMIT, ZZ, Polynomial, Ring, _show, ring_from_doc
+from .errors import BadIndexError, BadRingError, ParseError, ShapeError
+from .rings import ZZ, Polynomial, Ring, _show, ring_from_doc
+from .rings import _digit_bytes, _pack, _packing_pays, _unpack
 
 
 class ExactMatrix:
@@ -275,60 +276,24 @@ def _det_cofactor(ring, rows):
 
 def _det_packed(ring, rows):
     """Cofactor expansion over Z[x], with the last variable t packed into the
-    coefficients (t = 2^B, Kronecker substitution) when that at least halves
-    the terms and fills half the digit slots, or the entries are constants;
+    coefficients when :func:`_packing_pays` or the entries are constants;
     with no other variable left, the packed det is Bareiss over Z.  Each det
     coefficient is at most the product over rows of the entries' summed
-    1-norms, below 2^(B-1) for B in whole bytes, so the det's coefficients
-    are exactly the balanced base-2^B digits of its packed integers."""
-    nvars, mask = ring.nvars, _EXP_LIMIT - 1
-    # the key of t: its exponent field, and the degree field above the rest
-    top = _EXP_BITS * nvars
-    unit = 1 | 1 << top
+    1-norms, the bound the packing's width is taken from."""
     bound = prod(sum(abs(c) for v in r for c in v.terms.values()) for r in rows)
     if not bound:
         return ring.zero
-    w = bound.bit_length() // 8 + 1
-    B = 8 * w
-
-    def pack(v):
-        p = {}
-        for key, c in v.terms.items():
-            e = key & mask
-            p[key - e * unit] = p.get(key - e * unit, 0) + (c << B * e)
-        return Polynomial(nvars, p)
-
-    packed = [[pack(v) for v in r] for r in rows]
-    terms = sum(len(v.terms) for r in rows for v in r)
-    # with every digit below 2^(B-1) an integer's top B bits hold its top
-    # digit, so bit_length // B + 1 counts its slots
-    ints = [x for r in packed for v in r for x in v.terms.values()]
-    slots = sum(x.bit_length() // B + 1 for x in ints)
-    flat = not any(key for r in packed for v in r for key in v.terms)
-    constants = flat and slots == len(ints)
-    if (2 * len(ints) > terms or slots > 2 * terms) and not constants:
+    entries = [v for r in rows for v in r]
+    if any(key for v in entries for key in v.terms) and not _packing_pays(entries):
         return _det_cofactor(ring, rows)
-    if flat:
-        det = _det_bareiss(ZZ, [[v.terms.get(0, 0) for v in r] for r in packed])
-        det = Polynomial.constant(nvars, det)
-    else:
+    w = _digit_bytes(bound)
+    packed = [[_pack(v, w) for v in r] for r in rows]
+    if any(key for r in packed for v in r for key in v.terms):
         det = _det_cofactor(ring, packed)
-    half, out = 1 << B - 1, {}
-    for key, x in det.terms.items():
-        size = x.bit_length() // B + 1
-        degree = (key >> top) + size - 1
-        if degree >= _EXP_LIMIT:
-            raise ExponentOverflowError(f"total degree {degree} exceeds {_EXP_LIMIT - 1}")
-        raw, borrow = x.to_bytes(size * w, "little", signed=True), 0
-        for e in range(size):
-            # an unsigned digit from half up stands for itself less 2^B,
-            # which the next digit takes back as one
-            c = int.from_bytes(raw[e * w:e * w + w], "little") + borrow
-            borrow = c >= half
-            c -= borrow << B
-            if c:
-                out[key + e * unit] = c
-    return Polynomial(nvars, out)
+    else:
+        det = _det_bareiss(ZZ, [[v.terms.get(0, 0) for v in r] for r in packed])
+        det = Polynomial.constant(ring.nvars, det)
+    return _unpack(det, w)
 
 
 def _det_bareiss(ring, rows):

@@ -84,6 +84,24 @@ def _monomial_text(names: Sequence[str], key: int) -> str:
     )
 
 
+def _add_products(out: dict, k1: int, c1: int, items) -> None:
+    """Add the term c1 * c2 at key k1 + k2 into ``out`` for each (k2, c2) of
+    ``items``, deleting a key whose sum cancels: the one inner loop of a
+    product and of a square."""
+    get = out.get
+    for k2, c2 in items:
+        k = k1 + k2
+        v = get(k)
+        if v is None:
+            out[k] = c1 * c2
+        else:
+            v += c1 * c2
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+
+
 class Polynomial:
     """Sparse multivariate polynomial with integer coefficients.
 
@@ -184,30 +202,44 @@ class Polynomial:
         if len(a) < len(b):
             a, b = b, a
         out: dict = {}
-        get = out.get
         for k2, c2 in b.items():
-            for k1, c1 in a.items():
-                k = k1 + k2
-                v = get(k)
-                if v is None:
-                    out[k] = c1 * c2
-                else:
-                    v += c1 * c2
-                    if v:
-                        out[k] = v
-                    else:
-                        del out[k]
+            _add_products(out, k2, c2, a.items())
+        return Polynomial(self.nvars, out)
+
+    def _square(self) -> "Polynomial":
+        """self * self with each cross term computed once and doubled:
+        N(N+1)/2 term products where ``*`` makes N^2."""
+        items = list(self.terms.items())
+        out: dict = {}
+        for i, (k1, c1) in enumerate(items):
+            _add_products(out, k1, c1, items[i:i + 1])
+            _add_products(out, k1, c1 + c1, items[i + 1:])
         return Polynomial(self.nvars, out)
 
     def __pow__(self, e: int) -> "Polynomial":
-        """Repeated multiplication by self: on sparse inputs it makes fewer
-        term products than repeated squaring (Fateman 1974)."""
+        """A symmetric square, then repeated multiplication by self: on sparse
+        inputs it makes fewer term products than repeated squaring (Fateman
+        1974).  When :func:`_packing_pays`, the power is that of the packed
+        polynomial, its last variable t = 2^B: each coefficient of self^e is
+        at most ||self||_1^e, below 2^(B-1).  The packed polynomial has one
+        term per integer, so its own power takes the dict loop."""
         if e < 0:
             raise ValueError("negative power")
+        # over Z the degree of a power is e times the degree; checked before
+        # any product, as a product only checks the one it makes
+        degree = e * self.total_degree()
+        if degree >= _EXP_LIMIT:
+            raise ExponentOverflowError(f"total degree {_show(degree)} exceeds {_EXP_LIMIT - 1}")
         if e == 0:
             return Polynomial.constant(self.nvars, 1)
-        result = self
-        for _ in range(e - 1):
+        # zero has no terms, so the rule would pack it, into itself, forever
+        if e == 1 or not self.terms:
+            return self
+        if _packing_pays([self]):
+            w = _digit_bytes(sum(map(abs, self.terms.values())) ** e)
+            return _unpack(_pack(self, w) ** e, w)
+        result = self._square()
+        for _ in range(e - 2):
             result = result * self
         return result
 
@@ -245,6 +277,92 @@ class Polynomial:
                 else:
                     rem.pop(k, None)
         return Polynomial(nvars, quot)
+
+
+# ---------------------------------------------------------------------------
+# the last variable packed into the coefficients (Kronecker substitution)
+#
+# With t, the last variable, set to 2^B, the terms of a polynomial that
+# differ only in t become one integer, whose base-2^B digits are their
+# coefficients.  A product or determinant of packed polynomials is the packed
+# result, and while every coefficient of the result lies below 2^(B-1) in
+# absolute value, they are exactly its integers' balanced base-2^B digits.
+# B is 8w for a width of w bytes.
+
+
+def _digit_bytes(bound: int) -> int:
+    """The least width w in bytes with 2^(8w-1) above ``bound``."""
+    return bound.bit_length() // 8 + 1
+
+
+def _t_groups(v: Polynomial) -> dict:
+    """The terms of v that differ only in t: a map from their key with t's
+    exponent set to 0 (its field and the degree field both lowered) to their
+    (exponent of t, coefficient) pairs."""
+    mask, unit = _EXP_LIMIT - 1, 1 | 1 << _EXP_BITS * v.nvars
+    groups: dict = {}
+    for key, c in v.terms.items():
+        e = key & mask
+        groups.setdefault(key - e * unit, []).append((e, c))
+    return groups
+
+
+def _packing_pays(polys) -> bool:
+    """The one packing rule: pack when the polynomials' terms are at least
+    twice their packed integers, and those integers' digit slots (one more
+    than the top exponent of t in each) at most twice the terms."""
+    terms = ints = slots = 0
+    for v in polys:
+        groups = _t_groups(v)
+        terms += len(v.terms)
+        ints += len(groups)
+        slots += sum(max(e for e, _ in g) + 1 for g in groups.values())
+    return 2 * ints <= terms and slots <= 2 * terms
+
+
+def _pack(v: Polynomial, w: int) -> Polynomial:
+    """v with t = 2^(8w), every coefficient below 2^(8w-1) in absolute value.
+    Each integer is read from two byte strings, one for its positive digits
+    and one for its negative digits, each digit written into its slot: one
+    pass, where adding each c << 8w*e into a growing integer is quadratic in
+    the degree of t."""
+    out = {}
+    for key, digits in _t_groups(v).items():
+        size = w * (max(e for e, _ in digits) + 1)
+        pos, neg = bytearray(size), bytearray(size)
+        for e, c in digits:
+            if c > 0:
+                pos[e * w:e * w + w] = c.to_bytes(w, "little")
+            else:
+                neg[e * w:e * w + w] = (-c).to_bytes(w, "little")
+        out[key] = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    return Polynomial(v.nvars, out)
+
+
+def _unpack(p: Polynomial, w: int) -> Polynomial:
+    """The polynomial packed as p at t = 2^(8w), every coefficient below
+    2^(8w-1) in absolute value: each integer's balanced base-2^(8w) digits,
+    by one ``to_bytes`` and a sign borrow.  A term of total degree past the
+    exponent limit raises before any key is written, as a product does."""
+    nvars, B = p.nvars, 8 * w
+    top = _EXP_BITS * nvars
+    unit, half, out = 1 | 1 << top, 1 << B - 1, {}
+    for key, x in p.terms.items():
+        # every digit below 2^(B-1), so the top B bits hold the top digit
+        size = x.bit_length() // B + 1
+        degree = (key >> top) + size - 1
+        if degree >= _EXP_LIMIT:
+            raise ExponentOverflowError(f"total degree {degree} exceeds {_EXP_LIMIT - 1}")
+        raw, borrow = x.to_bytes(size * w, "little", signed=True), 0
+        for e in range(size):
+            # an unsigned digit from half up stands for itself less 2^B,
+            # which the next digit takes back as one
+            c = int.from_bytes(raw[e * w:e * w + w], "little") + borrow
+            borrow = c >= half
+            c -= borrow << B
+            if c:
+                out[key + e * unit] = c
+    return Polynomial(nvars, out)
 
 
 # ---------------------------------------------------------------------------

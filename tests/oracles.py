@@ -229,20 +229,35 @@ def sym_power_by_tuples(u: ExactMatrix, basis) -> ExactMatrix:
     return ExactMatrix(ring, [list(r) for r in zip(*columns)])
 
 
-def packing_pays(A: ExactMatrix) -> bool:
-    """The rule by which ``det()`` over Z[x] packs the last variable into the
-    coefficients, restated on exponent vectors: group each entry's terms by
-    their exponents in the other variables; it packs when the groups are at
-    most half as many as the terms and their digit slots (one more than the
-    group's largest last exponent, summed) at most twice as many, or when
-    every entry is a constant."""
+def packing_pays(value) -> bool:
+    """The rule by which ``det()`` of a matrix over Z[x], and a power of a
+    polynomial, pack the last variable into the coefficients, restated on
+    exponent vectors: group each polynomial's terms by their exponents in
+    the other variables; it packs when the groups are at most half as many
+    as the terms and their digit slots (one more than the group's largest
+    last exponent, summed) at most twice as many.  A matrix whose entries
+    are all constants packs too."""
+    if isinstance(value, Polynomial):
+        polys, constants = [value], False
+    else:
+        polys = [v for r in value.rows_raw() for v in r]
+        constants = not any(v.total_degree() for v in polys)
     terms, tops = 0, []
-    for v in (v for r in A.rows_raw() for v in r):
+    for v in polys:
         groups = {}
         for exps, _ in items_exponents(v):
             terms += 1
             groups[exps[:-1]] = max(groups.get(exps[:-1], 0), exps[-1])
         tops.extend(groups.values())
     slots = len(tops) + sum(tops)
-    constants = not any(v.total_degree() for r in A.rows_raw() for v in r)
     return constants or 2 * len(tops) <= terms and slots <= 2 * terms
+
+
+def pack_by_shifts(v: Polynomial, w: int) -> dict:
+    """The terms of v with its last variable set to 2^(8w), each coefficient
+    shifted into place and added to its group's integer one by one; keys are
+    the exponent tuples of the other variables."""
+    out = {}
+    for exps, c in items_exponents(v):
+        out[exps[:-1]] = out.get(exps[:-1], 0) + (c << 8 * w * exps[-1])
+    return out

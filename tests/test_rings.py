@@ -18,12 +18,22 @@ from mvvand.rings import (
     PrimeField,
     RingElement,
     ZZ,
+    _pack,
+    _unpack,
     is_prime,
     ring_from_doc,
 )
 from mvvand.vandermonde import mu_prime, symbolic_matrix
 
-from oracles import elem, format_polynomial, poly_eval
+from oracles import (
+    elem,
+    exponent_vectors,
+    format_polynomial,
+    items_exponents,
+    pack_by_shifts,
+    packing_pays,
+    poly_eval,
+)
 
 XY = PolynomialRing(["x", "y"])
 F7 = PrimeField(7)
@@ -524,6 +534,183 @@ def test_ring_pow_refuses_a_negative_or_non_int_exponent(ring, e):
         ring.pow(a, e)
     with pytest.raises(ValueError, match="nonnegative integer"):
         RingElement(ring, a) ** e
+
+
+BIG = 2 ** 100
+X1 = PolynomialRing(["x"])
+XYZ = PolynomialRing(["x", "y", "z"])
+
+
+@st.composite
+def dense_poly(draw):
+    """(ring, v): v over Z[x], Z[x, y] or Z[x, y, z] carrying every monomial
+    of degree <= deg (deg <= 3), with coefficients in [-9, 9] or within 9 of
+    2^100 or -2^100."""
+    ring = draw(st.sampled_from([X1, XY, XYZ]))
+    k, deg = ring.nvars, draw(st.integers(0, 3))
+    monos = [e for j in range(deg + 1) for e in exponent_vectors(k, j)]
+    coeff = st.integers(-9, 9) | st.integers(BIG - 9, BIG + 9) | st.integers(-BIG - 9, -BIG + 9)
+    cs = draw(st.lists(coeff, min_size=len(monos), max_size=len(monos)))
+    return ring, Polynomial.from_terms(k, zip(monos, cs))
+
+
+def _spy_power(mp):
+    """Record what the power rule packs and squares: the packed route packs
+    its base once and squares the packed polynomial, the dict loop squares
+    the base itself."""
+    calls = {"pack": [], "square": []}
+
+    def pack(v, w, fn=_pack):
+        calls["pack"].append(v)
+        return fn(v, w)
+
+    def square(v, fn=Polynomial._square):
+        calls["square"].append(v)
+        return fn(v)
+
+    mp.setattr("mvvand.rings._pack", pack)
+    mp.setattr(Polynomial, "_square", square)
+    return calls
+
+
+def _repeated_product(ring, v, e):
+    product = ring.one
+    for _ in range(e):
+        product = product * v
+    return product
+
+
+class TestPower:
+    """A power over Z[x] squares symmetrically, then multiplies by the base;
+    it packs the last variable t = 2^B first when that pays, with B from the
+    bound ||v||_1^e on the power's coefficients."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(dense_poly(), st.integers(0, 5))
+    @example((X1, X1.parse("x + 254")), 2)
+    @example((XY, XY.parse("x + y + 1")), 3)
+    @example((XYZ, XYZ.parse(f"{BIG}*x*z - {BIG}*x + y*z - y")), 4)
+    @example((XY, XY.zero), 3)
+    def test_matches_repeated_product_on_the_route_of_the_rule(self, case, e):
+        ring, v = case
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_power(mp)
+            power = ring.pow(v, e)
+        assert power == _repeated_product(ring, v, e)
+        multiplies = e >= 2 and bool(v)
+        assert calls["pack"] == ([v] if multiplies and packing_pays(v) else [])
+        assert len(calls["square"]) == multiplies
+
+    def test_mu_prime_powers_take_both_routes(self, monkeypatch):
+        # mu' of linear forms (2.0 terms per packed integer) packs; the formal
+        # mu' (1.00) stays on the dict loop
+        calls = _spy_power(monkeypatch)
+        T3 = PolynomialRing(["t0", "t1", "t2"])
+        rng = seeded_rng("linear-power")
+        X = ExactMatrix(T3, [[T3.parse(f"{rng.randint(1, 9)}*t0 - {rng.randint(1, 9)}*t1"
+                                       f" + {rng.randint(1, 9)}*t2 + {rng.randint(1, 9)}")
+                              for _ in range(3)] for _ in range(4)])
+        for M, packs in ((X, True), (symbolic_matrix(4, 3), False)):
+            v = mu_prime(M)
+            calls["pack"].clear()
+            assert v ** 2 == v * v
+            assert packing_pays(v) is packs
+            assert calls["pack"] == ([v] if packs else [])
+
+    @pytest.mark.parametrize(
+        "ring,text,e",
+        [
+            # 254^2 = 64,516 of a bound of 255^2 = 65,025: both 16 bits, so
+            # 2^(B-1) above the bound needs a third byte
+            (X1, "x + 254", 2),
+            (X1, "x - 254", 2),
+            (XY, "254*x + x*y", 2),
+            # 14^4 = 38,416 of 15^4 = 50,625, and -204^3 of 205^3 (24 bits)
+            (X1, "x + 14", 4),
+            (XY, "x*y - 204*x", 3),
+        ],
+    )
+    def test_coefficients_at_the_bound(self, ring, text, e, monkeypatch):
+        v = ring.parse(text)
+        calls = _spy_power(monkeypatch)
+        power = ring.pow(v, e)
+        assert power == _repeated_product(ring, v, e)
+        assert calls["pack"] == [v]
+        bound = sum(map(abs, v.terms.values())) ** e
+        top = max(map(abs, power.terms.values()))
+        assert top.bit_length() == bound.bit_length() and bound.bit_length() % 8 == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(dense_poly())
+    def test_symmetric_square_is_the_product(self, case):
+        _, v = case
+        assert v._square() == v * v
+
+    @pytest.mark.parametrize(
+        "text,cancelled",
+        [
+            # the x^2 coefficient: a cross term, then a diagonal term cancels it
+            ("1 + 2*x - 2*x^2", "x^2"),
+            # a diagonal term, then a cross term cancels it
+            ("2*x + 1 - 2*x^2", "x^2"),
+            # two cross terms
+            ("1 + x + y - x*y", "x*y"),
+        ],
+    )
+    def test_symmetric_square_drops_cancelled_terms(self, text, cancelled):
+        v = P(text)
+        square = v._square()
+        assert square == v * v
+        assert P(cancelled).terms.keys() - square.terms.keys()
+
+    def test_power_past_the_degree_limit_raises_before_any_product(self, monkeypatch):
+        # x + 1 to the 70,000 once multiplied on to degree 65,535 first, past
+        # 10 s; x^20000 * (1 + y) packs, x^30000 + y does not
+        called = []
+        for name in ("__mul__", "_square"):
+            monkeypatch.setattr(Polynomial, name, lambda *a, name=name: called.append(name))
+        monkeypatch.setattr("mvvand.rings._packing_pays", lambda *a: called.append("rule"))
+        for ring, text, e in ((X1, "x + 1", 70000), (XY, "x^20000 + x^20000*y", 4),
+                              (XY, "x^30000 + y", 3)):
+            degree = e * ring.parse(text).total_degree()
+            with pytest.raises(ExponentOverflowError, match=f"^total degree {degree} exceeds"):
+                ring.pow(ring.parse(text), e)
+        assert called == []
+
+    def test_packed_power_at_the_degree_limit(self, monkeypatch):
+        # degree 13,107 to the 5th is 65,535, the largest a key holds
+        v = XY.parse("x^13106 + x^13106*y")
+        calls = _spy_power(monkeypatch)
+        power = v ** 5
+        assert power.total_degree() == 65535
+        assert power == _repeated_product(XY, v, 5)
+        assert calls["pack"] == [v]
+        with pytest.raises(ExponentOverflowError):
+            v ** 6
+
+
+@st.composite
+def packable(draw):
+    """(v, w): v over Z[x, y] with gaps in its powers of y, every coefficient
+    at most 2^(8w-1) - 1 in absolute value, most at the ends of that range."""
+    w = draw(st.integers(1, 3))
+    top = (1 << 8 * w - 1) - 1
+    coeff = st.sampled_from([1, -1, top, -top, top // 2 + 1, -(top // 2 + 1)]) | st.integers(-top, top)
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 40))
+    terms = draw(st.dictionaries(exps, coeff, max_size=30))
+    return Polynomial.from_terms(2, terms.items()), w
+
+
+@settings(max_examples=150, deadline=None)
+@given(packable())
+def test_pack_matches_shift_add(case):
+    # each integer from its digits' bytes equals the sum of shifted digits,
+    # and its balanced digits are the coefficients again
+    v, w = case
+    packed = _pack(v, w)
+    assert all(exps[-1] == 0 for exps, _ in items_exponents(packed))
+    assert {exps[:-1]: c for exps, c in items_exponents(packed)} == pack_by_shifts(v, w)
+    assert _unpack(packed, w) == v
 
 
 def test_sampled_axioms_over_all_rings():
