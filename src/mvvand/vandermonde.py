@@ -45,16 +45,16 @@ def monomial_basis(n: int, d: int) -> tuple:
 def _products(ring, factors, d, repeat):
     """Products of d raw values of ``ring``, in the order
     ``combinations_with_replacement`` (with ``repeat``; :func:`monomial_basis`
-    order) or ``combinations`` lists the indices; ``[ring.one]`` at d = 0, so
-    callers refuse a negative d first.  Each is its first t factors' product
-    times the last, read from ``matrix._symmetric_plan`` on g letters: letter
-    j is factor j, or t + j with g = m - d + 1 without repetition (the
-    bijection of :func:`verify_dual`).  Over Z/p each is reduced once, at the
-    end: d factors in [0, p) stay below p^d."""
+    order) or ``combinations`` lists the indices; ``[ring.one]`` at d = 0.
+    Callers refuse d < 0; without repetition d <= m.  Each is its first t
+    factors' product times the last, read from ``matrix._symmetric_plan`` on g
+    letters: letter j is factor j, or t + j with g = m - d + 1 without
+    repetition (the bijection of :func:`verify_dual`).  Over Z/p each is
+    reduced once, at the end: d factors in [0, p) stay below p^d."""
     shift, p = 0 if repeat else 1, ring.modulus
     g = len(factors) - shift * (d - 1)
-    if not d or g < 1:
-        return [] if d else [ring.one]
+    if not d:
+        return [ring.one]
     level = list(factors[:g])
     for t in range(1, d):
         level = [level[i] * factors[j + shift * t] for (j, i), _, _ in _symmetric_plan(g, t)]
@@ -117,19 +117,19 @@ def mu_matrix(X: ExactMatrix) -> ExactMatrix:
 def mu_prime(X: ExactMatrix):
     """Raw product of all order-(n+1) minors of X; empty product is one.
 
-    The minors are multiplied in colex order of the rows taken, so each
-    partial product is mu' of the leading rows of X: over Z[x] it never
-    outgrows that sub-problem's answer, as lex-order partial products do.
-    Over Z/p each partial product is reduced by :meth:`Ring.reduce` written
-    inline, as in ``matrix._expand``.
+    The walk's minors, one raw value per row set, are multiplied from the last
+    back (reverse lex order): at each change of the first row taken the partial
+    product is mu' of the trailing rows of X, so over Z[x] it never outgrows
+    that sub-problem's answer, as lex-order partial products do.  Over Z/p each
+    partial product is reduced by :meth:`Ring.reduce` written inline.
     """
     n, m = X.ncols - 1, X.nrows
     if n < 1:
         raise ShapeError(f"minor product undefined for shape {m}x{n + 1}")
     ring, p = X.ring, X.ring.modulus
-    walk = zip(combinations(range(m), n + 1), _minor_walk(ring, X.rows_raw(), n + 1))
+    minors = [minor for (minor,) in _minor_walk(ring, X.rows_raw(), n + 1)]
     acc = ring.one
-    for _, (minor,) in sorted(walk, key=lambda pair: pair[0][::-1]):
+    for minor in reversed(minors):
         acc = acc * minor
         if p:
             acc %= p
